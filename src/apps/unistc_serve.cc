@@ -63,8 +63,6 @@ usage(const char *argv0)
         "                         (default 32)\n"
         "  --prepared-cache N     decoded matrices kept hot\n"
         "                         (default 8)\n"
-        "  --contexts N           per-client execution contexts kept\n"
-        "                         (default 16)\n"
         "  --log-level LEVEL      debug|info|warn|error|silent\n"
         "  --help, -h             this text\n"
         "  --version              build + schema versions\n"
@@ -134,9 +132,6 @@ main(int argc, char **argv)
             coreOpt.preparedCacheCap = static_cast<std::size_t>(
                 parseCount("--prepared-cache",
                            value("--prepared-cache")));
-        } else if (arg == "--contexts") {
-            coreOpt.contextCacheCap = static_cast<std::size_t>(
-                parseCount("--contexts", value("--contexts")));
         } else if (arg == "--log-level") {
             LogLevel level;
             const char *text = value("--log-level");
@@ -151,8 +146,8 @@ main(int argc, char **argv)
     if (!haveAddress)
         UNISTC_FATAL("pick an address: --socket PATH or --port N "
                      "(see --help)");
-    if (coreOpt.preparedCacheCap == 0 || coreOpt.contextCacheCap == 0)
-        UNISTC_FATAL("--prepared-cache and --contexts must be >= 1");
+    if (coreOpt.preparedCacheCap == 0)
+        UNISTC_FATAL("--prepared-cache must be >= 1");
 
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);

@@ -1,7 +1,6 @@
 #include "bbc/block_pattern.hh"
 
 #include "common/bitops.hh"
-#include "common/bitops_simd.hh"
 #include "common/rng.hh"
 
 namespace unistc

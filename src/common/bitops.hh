@@ -2,8 +2,11 @@
  * @file
  * Bit-manipulation helpers mirroring the simple hardware primitives the
  * paper's functional units rely on (popcounts, prefix sums over bitmap
- * words, per-bit iteration). All operate on 16-bit words because every
- * bitmap in Uni-STC (tile-level and element-level) is a 4x4 = 16-bit map.
+ * words, per-bit iteration), plus the bulk kernels over buffers of
+ * bitmap words (popcounts, 16x16 transpose) the BBC layer runs on. All
+ * operate on 16-bit words because every bitmap in Uni-STC (tile-level
+ * and element-level) is a 4x4 = 16-bit map. Plain portable C++: the
+ * bulk kernels batch four words per 64-bit load (SWAR).
  */
 
 #ifndef UNISTC_COMMON_BITOPS_HH
@@ -11,7 +14,9 @@
 
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 namespace unistc
 {
@@ -166,6 +171,88 @@ inline std::uint16_t
 liveNibbleMask4(std::uint16_t v)
 {
     return static_cast<std::uint16_t>(nonzeroNibbles4(v) * 0xFu);
+}
+
+/** Four consecutive bitmap words as one 64-bit word (any alignment). */
+inline std::uint64_t
+load4x16(const std::uint16_t *p)
+{
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+}
+
+/** Total set bits across @p n 16-bit bitmap words. */
+inline std::uint64_t
+popcountBuffer16(const std::uint16_t *p, std::size_t n)
+{
+    const std::size_t whole = n - n % 4;
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < whole; i += 4)
+        total += static_cast<std::uint64_t>(
+            std::popcount(load4x16(p + i)));
+    for (std::size_t i = whole; i < n; ++i)
+        total += static_cast<std::uint64_t>(std::popcount(p[i]));
+    return total;
+}
+
+/** Sum of popcount(p[i] & mask) over @p n bitmap words. */
+inline std::uint64_t
+maskedPopcount16(const std::uint16_t *p, std::size_t n,
+                 std::uint16_t mask)
+{
+    const std::uint64_t wide =
+        0x0001000100010001ULL * static_cast<std::uint64_t>(mask);
+    const std::size_t whole = n - n % 4;
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < whole; i += 4)
+        total += static_cast<std::uint64_t>(
+            std::popcount(load4x16(p + i) & wide));
+    for (std::size_t i = whole; i < n; ++i)
+        total += static_cast<std::uint64_t>(std::popcount(
+            static_cast<std::uint16_t>(p[i] & mask)));
+    return total;
+}
+
+/**
+ * Transpose a 16x16 bit matrix: out[c] holds column c (bit r set when
+ * in[r] has bit c). Safe with in == out. Hacker's Delight delta-swap
+ * transpose, 16-bit edition, with four rows packed per 64-bit word:
+ * the 8- and 4-row rounds swap between words, the 2- and 1-row rounds
+ * between lanes of one word. The swap direction is mirrored relative
+ * to the book because column 0 is the LSB here, not the MSB.
+ */
+inline void
+transpose16x16(const std::uint16_t in[16], std::uint16_t out[16])
+{
+    // Word w holds rows 4w..4w+3, row 4w in the low lane.
+    std::uint64_t w[4];
+    for (int i = 0; i < 4; ++i) {
+        w[i] = 0;
+        for (int r = 0; r < 4; ++r)
+            w[i] |= std::uint64_t{in[4 * i + r]} << (16 * r);
+    }
+    // Delta swap between the rows in lo and the rows j further down,
+    // held in hi, on the bits selected by m.
+    const auto deltaSwap = [](std::uint64_t &lo, std::uint64_t &hi,
+                              int j, std::uint64_t m) {
+        const std::uint64_t t = ((lo >> j) ^ hi) & m;
+        lo ^= t << j;
+        hi ^= t;
+    };
+    deltaSwap(w[0], w[2], 8, 0x00FF00FF00FF00FFull);
+    deltaSwap(w[1], w[3], 8, 0x00FF00FF00FF00FFull);
+    deltaSwap(w[0], w[1], 4, 0x0F0F0F0F0F0F0F0Full);
+    deltaSwap(w[2], w[3], 4, 0x0F0F0F0F0F0F0F0Full);
+    for (std::uint64_t &x : w) {
+        // Lanes 0,1 against lanes 2,3, then lanes 0,2 against 1,3.
+        std::uint64_t t = ((x >> 2) ^ (x >> 32)) & 0x33333333ull;
+        x ^= (t << 2) | (t << 32);
+        t = ((x >> 1) ^ (x >> 16)) & 0x0000555500005555ull;
+        x ^= (t << 1) | (t << 16);
+    }
+    for (int i = 0; i < 16; ++i)
+        out[i] = static_cast<std::uint16_t>(w[i / 4] >> (16 * (i % 4)));
 }
 
 /** Ceiling division for non-negative integers. */

@@ -134,8 +134,8 @@ fatalImpl(const char *file, int line, const std::string &msg)
 {
     if (fatalBehavior() == FatalBehavior::Throw) {
         // The exception carries the full message; the catcher owns
-        // reporting (a sweep quarantines, a test asserts, a fuzz
-        // driver swallows).
+        // reporting (the daemon answers an error, a test asserts, a
+        // fuzz driver swallows).
         throw UnistcError(failedPrecondition(
             msg + " (" + file + ":" + std::to_string(line) + ")"));
     }

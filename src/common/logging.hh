@@ -20,8 +20,8 @@
  * under FatalBehavior::Exit (the default, right for CLI mains)
  * UNISTC_FATAL prints and exit(1)s as it always has; under
  * FatalBehavior::Throw (library, tests, fuzz drivers) it throws
- * unistc::UnistcError carrying the same message, so a sweep can
- * quarantine one bad input instead of dying. panic() is for
+ * unistc::UnistcError carrying the same message, so a caller such
+ * as the serve daemon can fail one request instead of dying. panic() is for
  * simulator bugs and aborts unconditionally in both modes.
  */
 

@@ -97,23 +97,32 @@ class SmallVector
     T &back() { return data_[size_ - 1]; }
     const T &back() const { return data_[size_ - 1]; }
 
-    void
-    push_back(const T &v)
-    {
-        if (size_ == capacity_)
-            grow(size_ + 1);
-        ::new (static_cast<void *>(data_ + size_)) T(v);
-        ++size_;
-    }
+    void push_back(const T &v) { emplace_back(v); }
 
     template <typename... Args>
     T &
     emplace_back(Args &&...args)
     {
-        if (size_ == capacity_)
-            grow(size_ + 1);
-        T *slot = ::new (static_cast<void *>(data_ + size_))
-            T(std::forward<Args>(args)...);
+        if (size_ < capacity_) {
+            T *slot = ::new (static_cast<void *>(data_ + size_))
+                T(std::forward<Args>(args)...);
+            ++size_;
+            return *slot;
+        }
+        // Full: build the new element in the new buffer before the
+        // old elements move out and their buffer is freed — @p args
+        // may refer to one of them (v.push_back(v[0])).
+        const std::size_t cap = grownCapacity(size_ + 1);
+        T *buf = allocate(cap);
+        T *slot = nullptr;
+        try {
+            slot = ::new (static_cast<void *>(buf + size_))
+                T(std::forward<Args>(args)...);
+        } catch (...) {
+            deallocate(buf);
+            throw;
+        }
+        adopt(buf, cap);
         ++size_;
         return *slot;
     }
@@ -154,9 +163,23 @@ class SmallVector
         if (n < size_) {
             for (std::size_t i = n; i < size_; ++i)
                 data_[i].~T();
+        } else if (n > capacity_) {
+            // As in emplace_back: @p fill may be one of the elements
+            // adopt() moves out and frees, so copy it first.
+            const std::size_t cap = grownCapacity(n);
+            T *buf = allocate(cap);
+            std::size_t i = size_;
+            try {
+                for (; i < n; ++i)
+                    ::new (static_cast<void *>(buf + i)) T(fill);
+            } catch (...) {
+                while (i-- > size_)
+                    buf[i].~T();
+                deallocate(buf);
+                throw;
+            }
+            adopt(buf, cap);
         } else {
-            if (n > capacity_)
-                grow(n);
             for (std::size_t i = size_; i < n; ++i)
                 ::new (static_cast<void *>(data_ + i)) T(fill);
         }
@@ -237,23 +260,49 @@ class SmallVector
         other.size_ = 0;
     }
 
-    void
-    grow(std::size_t need)
+    /** Capacity after growing to hold at least @p need elements. */
+    std::size_t
+    grownCapacity(std::size_t need) const
     {
-        std::size_t cap = capacity_ * 2;
-        if (cap < need)
-            cap = need;
-        T *buf = static_cast<T *>(
-            ::operator new(cap * sizeof(T), std::align_val_t(alignof(T))));
+        return capacity_ * 2 < need ? need : capacity_ * 2;
+    }
+
+    static T *
+    allocate(std::size_t cap)
+    {
+        return static_cast<T *>(::operator new(
+            cap * sizeof(T), std::align_val_t(alignof(T))));
+    }
+
+    static void
+    deallocate(T *p)
+    {
+        ::operator delete(p, std::align_val_t(alignof(T)));
+    }
+
+    /**
+     * Move the live elements into @p buf (capacity @p cap), free the
+     * old heap buffer and switch to @p buf.
+     */
+    void
+    adopt(T *buf, std::size_t cap)
+    {
         for (std::size_t i = 0; i < size_; ++i) {
             ::new (static_cast<void *>(buf + i))
                 T(std::move(data_[i]));
             data_[i].~T();
         }
         if (onHeap())
-            ::operator delete(data_, std::align_val_t(alignof(T)));
+            deallocate(data_);
         data_ = buf;
         capacity_ = cap;
+    }
+
+    void
+    grow(std::size_t need)
+    {
+        const std::size_t cap = grownCapacity(need);
+        adopt(allocate(cap), cap);
     }
 
     void
@@ -261,7 +310,7 @@ class SmallVector
     {
         clear();
         if (onHeap())
-            ::operator delete(data_, std::align_val_t(alignof(T)));
+            deallocate(data_);
     }
 
     alignas(T) unsigned char inline_[N * sizeof(T)];

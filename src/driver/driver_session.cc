@@ -200,7 +200,7 @@ DriverSession::run(const SweepRequest &req, int argc, char **argv,
     ctx_.sweep().startReplay();
     ctx_.checkpoints().resetCursor();
     rc = body(argc, argv);
-    ctx_.sweep().finish();
+    ctx_.sweep().reset();
     logCacheSummary();
     return rc;
 #endif

@@ -77,8 +77,8 @@ class ExecutionContext
 
     /**
      * The live sweep executor (null outside a --jobs run). Valid
-     * through the replay pass: front-ends read per-job outcomes,
-     * pipeline counters and the merged trace while reporting.
+     * through the replay pass: front-ends read pipeline counters
+     * and the merged trace while reporting.
      */
     const SweepExecutor *
     sweepExecutor() const

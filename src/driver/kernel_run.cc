@@ -85,9 +85,8 @@ runKernel(Kernel kernel, const StcModel &model, const Prepared &p,
             res = rec->entries[0].result;
         } else if (shard.unitQuarantined(unit)) {
             // The owning shard died on every attempt before this
-            // unit: report zeros (the SweepExecutor quarantine
-            // convention) but do NOT checkpoint them, so a rerun
-            // with the same --resume file heals the hole.
+            // unit: report zeros but do NOT checkpoint them, so a
+            // rerun with the same --resume file heals the hole.
             quarantined = true;
             if (info != nullptr)
                 info->quarantined = true;
@@ -116,7 +115,7 @@ runKernel(Kernel kernel, const StcModel &model, const Prepared &p,
 
     RunResult res;
     if (session.mode() == SweepSession::Mode::Replay)
-        res = session.replay(kernel, model, p, info);
+        res = session.replay(kernel, model, p);
     else
         res = executeKernel(kernel, model, p, energy, bCols);
     // Newly computed (not resumed) results extend the checkpoint;
@@ -285,15 +284,10 @@ runKernelLineup(Kernel kernel,
     PipelineCounters counters;
     if (!missing.empty()) {
         if (session.mode() == SweepSession::Mode::Replay) {
-            std::vector<RunInfo> missingInfos;
             const std::vector<RunResult> ran = session.replayLineup(
-                kernel, missing, p, &counters,
-                infos != nullptr ? &missingInfos : nullptr);
-            for (std::size_t k = 0; k < missing_idx.size(); ++k) {
+                kernel, missing, p, &counters);
+            for (std::size_t k = 0; k < missing_idx.size(); ++k)
                 results[missing_idx[k]] = ran[k];
-                if (infos != nullptr)
-                    (*infos)[missing_idx[k]] = missingInfos[k];
-            }
         } else {
             PlanInputs in;
             in.a = &p.bbc;

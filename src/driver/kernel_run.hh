@@ -85,17 +85,8 @@ struct RunInfo
     /** Served from the --resume checkpoint, not simulated. */
     bool resumed = false;
 
-    /** Quarantined (recovery policy): the result is zeroed. */
+    /** Its --shards worker was quarantined: the result is zeroed. */
     bool quarantined = false;
-
-    /** Exceeded the cooperative --max-job-seconds watchdog. */
-    bool timedOut = false;
-
-    /** Simulation attempts made (retries included). */
-    int attempts = 1;
-
-    /** Final error of a quarantined job, empty otherwise. */
-    std::string error;
 };
 
 /** Inline (in-process, serial) execution of one kernel. */

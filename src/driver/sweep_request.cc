@@ -67,10 +67,6 @@ const StdFlag kStdFlags[] = {
     {"resume", true, "PATH",
      "checkpoint finished jobs to PATH and skip jobs already there "
      "(also UNISTC_BENCH_RESUME; docs/ROBUSTNESS.md)"},
-    {"strict", false, "",
-     "fail fast: first unrecovered job failure aborts the run"},
-    {"max-job-seconds", true, "S",
-     "cooperative per-job watchdog budget (0 = off)"},
     {"log-level", true, "LEVEL",
      "debug|info|warn|error|silent (or 0-4)"},
     {"cache-dir", true, "PATH",
@@ -144,14 +140,6 @@ applyStdFlag(SweepRequest &req, const std::string &name,
         }
     } else if (name == "resume") {
         req.resumePath = value;
-    } else if (name == "strict") {
-        req.strict = true;
-    } else if (name == "max-job-seconds") {
-        if (!parseNonNegSeconds(value, sec)) {
-            return optError("--max-job-seconds needs a non-negative "
-                            "number of seconds, got '" + value + "'");
-        }
-        req.maxJobSeconds = sec;
     } else if (name == "log-level") {
         LogLevel level = LogLevel::Info;
         if (!parseLogLevel(value, level)) {

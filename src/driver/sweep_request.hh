@@ -15,8 +15,6 @@
  *   --jobs N                     worker threads (UNISTC_JOBS; 0/auto =
  *                                all cores)
  *   --resume P                   checkpoint/resume (UNISTC_BENCH_RESUME)
- *   --strict                     fail fast instead of quarantining
- *   --max-job-seconds S          cooperative per-job watchdog
  *   --log-level LEVEL            debug|info|warn|error|silent (or 0-4)
  *   --cache-dir P / --cache M    matrix artifact cache (docs/CACHING.md)
  *   --shards K / --shard i / --shard-out P / --shard-dir D /
@@ -75,13 +73,6 @@ struct SweepRequest
 
     // Checkpoint / resume (docs/ROBUSTNESS.md).
     std::string resumePath; ///< Empty: resume off.
-
-    // Executor recovery policy (docs/ROBUSTNESS.md). The canonical
-    // policy is one transient-failure retry + quarantine; --strict
-    // fails the run on the first unrecovered job instead.
-    bool strict = false;
-    double maxJobSeconds = 0.0; ///< Cooperative watchdog (0 = off).
-    int maxRetries = 1;         ///< Extra attempts per failing job.
 
     /**
      * Per-job trace ring capacity for the sweep executor (and the

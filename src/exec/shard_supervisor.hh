@@ -3,10 +3,10 @@
  * Process supervisor for crash-isolated sharded sweeps
  * (docs/SHARDING.md).
  *
- * The PR 3 watchdog is cooperative: a hung or crashing in-process job
- * cannot be killed mid-flight, so one wild model bug still takes the
- * whole sweep down. The ShardSupervisor moves the failure domain out
- * of the process: each shard runs as a fork/exec'd child with a
+ * An in-process job cannot be killed mid-flight, so one hung or
+ * crashing model bug takes the whole sweep down; this supervisor is
+ * the simulator's only recovery layer. It moves the failure domain
+ * out of the process: each shard runs as a fork/exec'd child with a
  * heartbeat pipe, and the supervisor enforces *hard* budgets — a
  * shard that exceeds its wall-clock budget or goes heartbeat-silent
  * is SIGKILLed, retried with exponential backoff up to a bounded

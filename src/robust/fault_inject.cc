@@ -35,10 +35,6 @@ toString(FaultKind kind)
         return "TruncateStream";
       case FaultKind::GarbleStream:
         return "GarbleStream";
-      case FaultKind::SlowJob:
-        return "SlowJob";
-      case FaultKind::ThrowJob:
-        return "ThrowJob";
       case FaultKind::ProcAbort:
         return "ProcAbort";
       case FaultKind::ProcExit:
@@ -215,22 +211,6 @@ executeProcFault(const ProcFaultSpec &spec,
       default:
         UNISTC_PANIC("executeProcFault: ", toString(spec.kind),
                      " is not a process fault");
-    }
-}
-
-void
-FaultSpec::apply(const std::string &jobLabel) const
-{
-    if (delayMs > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(delayMs));
-    }
-    // fetch_add caps the throws at throwCount no matter how many
-    // attempts (or concurrent executors in a buggy test) run.
-    if (thrown.load(std::memory_order_relaxed) < throwCount &&
-        thrown.fetch_add(1, std::memory_order_relaxed) < throwCount) {
-        throw UnistcError(internalError(
-            "injected fault (ThrowJob) in " + jobLabel));
     }
 }
 

@@ -2,17 +2,14 @@
  * @file
  * Deterministic, seed-driven fault injection (docs/ROBUSTNESS.md).
  *
- * Two fault families, both driven from one RNG stream so a failing
- * campaign replays exactly from its seed:
+ * Two fault families:
  *
  *  - *Data faults* (FaultPlan): corrupt an in-memory BbcMatrix
  *    (bitmap bit-flips, NaN/Inf value injection) or a serialized
- *    byte image (truncation, garbled bytes). Tests use these to
- *    prove each validator/checksum detector fires.
- *
- *  - *Job faults* (FaultSpec): make a sweep job artificially slow or
- *    make its first N attempts throw, to exercise the executor's
- *    watchdog / retry / quarantine machinery.
+ *    byte image (truncation, garbled bytes), driven from one RNG
+ *    stream so a failing campaign replays exactly from its seed.
+ *    Tests use these to prove each validator/checksum detector
+ *    fires.
  *
  *  - *Process faults* (ProcFaultSpec): make a whole shard worker
  *    abort, exit(N), hang forever, or crash mid-write, to exercise
@@ -24,7 +21,6 @@
 #ifndef UNISTC_ROBUST_FAULT_INJECT_HH
 #define UNISTC_ROBUST_FAULT_INJECT_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -46,8 +42,6 @@ enum class FaultKind
     InfValue,       ///< Overwrite one stored value with +infinity.
     TruncateStream, ///< Cut a serialized byte image short.
     GarbleStream,   ///< XOR-garble one byte of a serialized image.
-    SlowJob,        ///< Delay a sweep job past its watchdog budget.
-    ThrowJob,       ///< Make a sweep job's first attempts throw.
     ProcAbort,      ///< Shard worker calls abort() (SIGABRT).
     ProcExit,       ///< Shard worker _exit()s with a nonzero code.
     ProcHang,       ///< Shard worker hangs forever (heartbeat goes
@@ -58,29 +52,6 @@ enum class FaultKind
 
 /** Printable kind name ("BitmapLv1Flip", ...). */
 const char *toString(FaultKind kind);
-
-/**
- * Per-job fault knobs, attached to an exec::JobSpec by tests. The
- * throw counter is shared mutable state: build a fresh FaultSpec per
- * sweep, or retries observed in an earlier sweep leak into the next.
- */
-struct FaultSpec
-{
-    /** Sleep this long at the start of every attempt (SlowJob). */
-    int delayMs = 0;
-
-    /** First N attempts throw UnistcError before running (ThrowJob). */
-    int throwCount = 0;
-
-    /** Attempts that have thrown so far (runtime state). */
-    mutable std::atomic<int> thrown{0};
-
-    /**
-     * Apply the fault for one attempt: sleep, then throw if the
-     * throw budget is not yet exhausted.
-     */
-    void apply(const std::string &jobLabel) const;
-};
 
 /**
  * One process-level fault a shard worker inflicts on itself, parsed

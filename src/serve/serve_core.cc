@@ -395,12 +395,10 @@ ServeCore::parseJobLocked(Job &job)
     }
     job.runnable = true;
     // --arch lineups already share one task stream; --jobs and
-    // robustness knobs change execution policy per request. Only
-    // plain serial single-model-loop requests batch.
+    // --trace change execution policy per request. Only plain serial
+    // single-model-loop requests batch.
     job.batchable = !job.ex.multi && job.cli.request.jobs == 1 &&
-                    job.cli.request.traceJobCapacity == 0 &&
-                    !job.cli.request.strict &&
-                    job.cli.request.maxJobSeconds == 0.0;
+                    job.cli.request.traceJobCapacity == 0;
     job.batchKey = job.ex.kernelName + '|' + sourceLabel(job.ex) +
                    '|' + toString(job.ex.cfg.precision) + '|' +
                    std::to_string(job.ex.cfg.numDpgs) + '|' +
@@ -487,7 +485,7 @@ ServeCore::runJob(Job &job,
     warehouse::BenchSink::instance().beginManualRun(
         "unistc_serve", job.req.label, argvRec);
 
-    driver::ExecutionContext &ctx = contextFor(job.req.client);
+    driver::ExecutionContext ctx;
     const LogLevel savedLevel = logLevel();
 
     std::vector<char *> argv;
@@ -560,25 +558,6 @@ ServeCore::preparedFor(const std::string &source,
     while (preparedLru_.size() > opt_.preparedCacheCap)
         preparedLru_.pop_back();
     return prep;
-}
-
-driver::ExecutionContext &
-ServeCore::contextFor(const std::string &client)
-{
-    for (auto it = contextLru_.begin(); it != contextLru_.end();
-         ++it) {
-        if (it->first == client) {
-            contextLru_.splice(contextLru_.begin(), contextLru_, it);
-            return *contextLru_.front().second;
-        }
-    }
-    contextLru_.emplace_front(
-        client, std::make_unique<driver::ExecutionContext>());
-    // The executor runs one request at a time, so every context
-    // beyond the head is idle and safe to evict.
-    while (contextLru_.size() > opt_.contextCacheCap)
-        contextLru_.pop_back();
-    return *contextLru_.front().second;
 }
 
 } // namespace serve

@@ -13,8 +13,8 @@
  *    serve::makeExperiment path as simulate_cli, then executed by a
  *    DriverSession over serve::simulateBody — the response output is
  *    byte-identical to a one-shot simulate_cli run by construction;
- *  - a per-client embeddable ExecutionContext (LRU-bounded), reset
- *    with beginRun() between requests;
+ *  - a fresh ExecutionContext of its own, dropped with the response,
+ *    so nothing a request leaves behind outlives it;
  *  - the daemon's hot caches: an LRU of Prepared matrices (decoded
  *    CSR + BBC fingerprints) shared across clients, and the
  *    process-wide MatrixCache;
@@ -65,9 +65,6 @@ struct ServeOptions
 
     /** Prepared matrices kept hot across requests (LRU). */
     std::size_t preparedCacheCap = 8;
-
-    /** Per-client ExecutionContexts kept alive (LRU). */
-    std::size_t contextCacheCap = 16;
 };
 
 /** See the file header. */
@@ -131,9 +128,6 @@ class ServeCore
                 const std::function<driver::Prepared()> &build,
                 bool *hit);
 
-    /** The client's long-lived context (executor thread only). */
-    driver::ExecutionContext &contextFor(const std::string &client);
-
     const ServeOptions opt_;
     AdmissionController admission_;
 
@@ -147,9 +141,6 @@ class ServeCore
     std::list<std::pair<std::string,
                         std::shared_ptr<driver::Prepared>>>
         preparedLru_;
-    std::list<std::pair<std::string,
-                        std::unique_ptr<driver::ExecutionContext>>>
-        contextLru_;
 
     std::thread executor_;
 };

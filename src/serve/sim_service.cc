@@ -166,10 +166,6 @@ makeExperiment(driver::ParsedCli &cli)
                 static_cast<std::size_t>(n);
         }
     }
-    // The robust.* stat block appears whenever a robustness knob was
-    // set (legacy behaviour) or a job was actually quarantined.
-    ex.robustStats =
-        cli.request.strict || cli.request.maxJobSeconds > 0;
     return ex;
 }
 
@@ -341,21 +337,13 @@ simulateBody(const Experiment &ex, ServeHooks *hooks)
                 std::to_string(ex.cfg.macCount) + " MACs");
     t.setHeader({"STC", "cycles", "MAC util", "energy", "A reads",
                  "C writes"});
-    std::uint64_t quarantined = 0;
-    std::uint64_t retried = 0;
-    std::uint64_t faults = 0;
     for (std::size_t i = 0; i < ex.names.size(); ++i) {
         const RunResult &r = results[i];
         const driver::RunInfo &info = infos[i];
         registerRunResult(stats, r, "models." + ex.names[i] + ".");
-        faults += static_cast<std::uint64_t>(
-            info.quarantined ? info.attempts : info.attempts - 1);
-        retried += static_cast<std::uint64_t>(info.attempts - 1);
         if (info.quarantined) {
-            ++quarantined;
             UNISTC_WARN("job for model '", ex.names[i],
-                        "' quarantined",
-                        info.error.empty() ? "" : ": ", info.error);
+                        "' quarantined with its shard");
             t.addRow({ex.names[i], "QUARANTINED", "-", "-", "-",
                       "-"});
             continue;
@@ -375,14 +363,6 @@ simulateBody(const Experiment &ex, ServeHooks *hooks)
         // JSON is byte-identical across --jobs counts and reruns.
         engine_counters.registerStats(stats, "engine.",
                                       /*includeTiming=*/false);
-    }
-    if (ex.robustStats || quarantined > 0) {
-        stats.setCounter("robust.faults_detected", faults,
-                         "job attempts that threw or timed out");
-        stats.setCounter("robust.jobs_retried", retried,
-                         "extra attempts made after a failure");
-        stats.setCounter("robust.jobs_quarantined", quarantined,
-                         "jobs replaced by a zeroed result");
     }
     if (ctx.shardSummaryShards() > 0) {
         registerShardStats(stats, ctx.shardSummaryShards(),

@@ -42,7 +42,6 @@ struct Experiment
     bool multi = false;             ///< --arch: one lineup job.
     MachineConfig cfg = MachineConfig::fp64();
     int bCols = 64;
-    bool robustStats = false; ///< --strict / --max-job-seconds set.
 };
 
 /** The simulate front-end's flags, for the driver parser. */
@@ -50,10 +49,10 @@ std::vector<driver::CliFlag> simulateCliFlags();
 
 /**
  * Resolve and validate every front-end flag of @p cli into an
- * Experiment, adjusting cli.request (trace ring capacity, robust
- * stat policy) on the way. UNISTC_FATALs on invalid input — exits
- * under FatalBehavior::Exit (CLI), throws UnistcError under Throw
- * (the daemon wraps requests in ScopedFatalThrow).
+ * Experiment, adjusting cli.request (trace ring capacity) on the
+ * way. UNISTC_FATALs on invalid input — exits under
+ * FatalBehavior::Exit (CLI), throws UnistcError under Throw (the
+ * daemon wraps requests in ScopedFatalThrow).
  */
 Experiment makeExperiment(driver::ParsedCli &cli);
 

@@ -191,19 +191,6 @@ BenchSink::recordEngine(const std::string &kernel,
 }
 
 void
-BenchSink::noteRecovery(const SweepExecutor::RecoveryCounters &rc)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    if (writer_ == nullptr)
-        return;
-    writer_->noteCounter("robust.faults_detected", rc.faultsDetected);
-    writer_->noteCounter("robust.jobs_retried", rc.jobsRetried);
-    writer_->noteCounter("robust.jobs_quarantined",
-                         rc.jobsQuarantined);
-    writer_->noteCounter("robust.jobs_timed_out", rc.jobsTimedOut);
-}
-
-void
 BenchSink::noteShards(int shards, const ShardRecoveryCounters &sc)
 {
     std::lock_guard<std::mutex> lock(mu_);

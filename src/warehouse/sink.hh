@@ -31,7 +31,6 @@
 
 #include "engine/kernel_pipeline.hh"
 #include "exec/shard_supervisor.hh"
-#include "exec/sweep_executor.hh"
 #include "sim/result.hh"
 #include "warehouse/warehouse.hh"
 
@@ -77,9 +76,6 @@ class BenchSink
     void recordEngine(const std::string &kernel,
                       const std::string &matrix,
                       const PipelineCounters &counters, bool timed);
-
-    /** Fold a sweep's recovery tallies into the commit counters. */
-    void noteRecovery(const SweepExecutor::RecoveryCounters &rc);
 
     /**
      * Fold a shard supervisor's recovery tallies into the commit

@@ -1,12 +1,19 @@
 /**
  * @file
  * Unit tests for the bit-manipulation primitives the bitmap pipeline
- * is built on.
+ * is built on: the single-word helpers, the SWAR 4x4 helpers
+ * (exhaustive over all 65536 bitmaps) and the bulk buffer kernels.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include "common/bitops.hh"
+#include "common/rng.hh"
 
 namespace unistc
 {
@@ -113,6 +120,225 @@ TEST(Bitops, CeilDiv)
     EXPECT_EQ(ceilDiv(4, 4), 1u);
     EXPECT_EQ(ceilDiv(5, 4), 2u);
     EXPECT_EQ(ceilDiv(16, 16), 1u);
+}
+
+// ---------------------------------------------------------------------
+// SWAR 4x4 helpers vs their bitwise definitions (exhaustive: 65536).
+// ---------------------------------------------------------------------
+
+TEST(BitopsSwar, Transpose4x4Exhaustive)
+{
+    for (unsigned v = 0; v <= 0xFFFF; ++v) {
+        const std::uint16_t w = static_cast<std::uint16_t>(v);
+        std::uint16_t naive = 0;
+        for (int r = 0; r < 4; ++r) {
+            for (int c = 0; c < 4; ++c) {
+                if (testBit(w, bit4x4(r, c)))
+                    naive = setBit(naive, bit4x4(c, r));
+            }
+        }
+        ASSERT_EQ(transpose4x4(w), naive) << "v=" << v;
+    }
+}
+
+TEST(BitopsSwar, Col4Exhaustive)
+{
+    for (unsigned v = 0; v <= 0xFFFF; ++v) {
+        const std::uint16_t w = static_cast<std::uint16_t>(v);
+        for (int c = 0; c < 4; ++c) {
+            std::uint16_t naive = 0;
+            for (int r = 0; r < 4; ++r) {
+                if (testBit(w, r * 4 + c))
+                    naive = setBit(naive, r);
+            }
+            ASSERT_EQ(col4(w, c), naive) << "v=" << v << " c=" << c;
+        }
+    }
+}
+
+TEST(BitopsSwar, NibbleHelpersExhaustive)
+{
+    for (unsigned v = 0; v <= 0xFFFF; ++v) {
+        const std::uint16_t w = static_cast<std::uint16_t>(v);
+        std::uint16_t nz = 0, live = 0;
+        for (int i = 0; i < 4; ++i) {
+            if (((w >> (4 * i)) & 0xFu) != 0) {
+                nz = static_cast<std::uint16_t>(nz | (1u << (4 * i)));
+                live = static_cast<std::uint16_t>(live
+                                                  | (0xFu << (4 * i)));
+            }
+        }
+        ASSERT_EQ(nonzeroNibbles4(w), nz) << "v=" << v;
+        ASSERT_EQ(liveNibbleMask4(w), live) << "v=" << v;
+    }
+    for (unsigned v = 0; v <= 0xF; ++v) {
+        ASSERT_EQ(rep4(static_cast<std::uint16_t>(v)),
+                  static_cast<std::uint16_t>(v * 0x1111u));
+    }
+}
+
+TEST(BitopsSwar, BitRankFullWidthIsDefined)
+{
+    // Regression pin: bitRank(v, 16) must count the whole word. The
+    // shift (1u << 16) is evaluated in 32-bit arithmetic so this is
+    // well-defined, but an earlier refactor risked a 16-bit shift
+    // (UB caught by ubsan). Keep this exact.
+    for (std::uint16_t v : {std::uint16_t{0x0000}, std::uint16_t{0xFFFF},
+                            std::uint16_t{0x8000},
+                            std::uint16_t{0x5A5A}}) {
+        EXPECT_EQ(bitRank(v, 16), popcount16(v));
+        EXPECT_EQ(bitRank(v, 0), 0);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Bulk bitmap kernels vs the naive bit-by-bit definitions below, over
+// every tail length and every 2-byte misalignment. (The suite names
+// date from when the kernels also had vector backends.)
+// ---------------------------------------------------------------------
+
+std::vector<std::uint16_t>
+randomWords(Rng &rng, std::size_t n)
+{
+    std::vector<std::uint16_t> out(n);
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = static_cast<std::uint16_t>(rng.nextInRange(0, 0xFFFF));
+    return out;
+}
+
+std::uint64_t
+naivePopcount(const std::uint16_t *p, std::size_t n,
+              std::uint16_t mask = 0xFFFF)
+{
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        for (int b = 0; b < 16; ++b)
+            total += ((p[i] & mask) >> b) & 1u;
+    }
+    return total;
+}
+
+void
+naiveTranspose16x16(const std::uint16_t *in, std::uint16_t *out)
+{
+    for (int c = 0; c < 16; ++c) {
+        out[c] = 0;
+        for (int r = 0; r < 16; ++r) {
+            if ((in[r] >> c) & 1u)
+                out[c] = static_cast<std::uint16_t>(out[c] | (1u << r));
+        }
+    }
+}
+
+TEST(BitopsSimdOracle, PopcountMatchesNaiveExhaustive8Bit)
+{
+    for (unsigned v = 0; v <= 0xFF; ++v) {
+        const std::uint16_t w = static_cast<std::uint16_t>(v);
+        EXPECT_EQ(popcountBuffer16(&w, 1), naivePopcount(&w, 1));
+    }
+}
+
+TEST(BitopsSimdOracle, Transpose16x16MatchesBitwiseDefinition)
+{
+    Rng rng(11);
+    for (int trial = 0; trial < 50; ++trial) {
+        const auto rows = randomWords(rng, 16);
+        std::uint16_t cols[16];
+        transpose16x16(rows.data(), cols);
+        for (int r = 0; r < 16; ++r) {
+            for (int c = 0; c < 16; ++c) {
+                EXPECT_EQ((cols[c] >> r) & 1, (rows[r] >> c) & 1)
+                    << "r=" << r << " c=" << c;
+            }
+        }
+    }
+}
+
+TEST(BitopsSimd, PopcountAllBackendsAllTails)
+{
+    Rng rng(21);
+    // 0..33 covers every tail of the 4-word batches several times.
+    for (std::size_t n = 0; n <= 33; ++n) {
+        const auto words = randomWords(rng, n);
+        EXPECT_EQ(popcountBuffer16(words.data(), n),
+                  naivePopcount(words.data(), n))
+            << "n=" << n;
+    }
+}
+
+TEST(BitopsSimd, MaskedPopcountAllBackendsAllTails)
+{
+    Rng rng(24);
+    for (std::size_t n = 0; n <= 33; ++n) {
+        const auto words = randomWords(rng, n);
+        for (std::uint16_t mask :
+             {std::uint16_t{0x0000}, std::uint16_t{0xFFFF},
+              std::uint16_t{0x1111}, std::uint16_t{0x8001},
+              static_cast<std::uint16_t>(rng.nextInRange(0, 0xFFFF))}) {
+            EXPECT_EQ(maskedPopcount16(words.data(), n, mask),
+                      naivePopcount(words.data(), n, mask))
+                << "n=" << n << " mask=" << mask;
+        }
+    }
+}
+
+TEST(BitopsSimd, Transpose16x16AllBackends)
+{
+    Rng rng(25);
+    for (int trial = 0; trial < 200; ++trial) {
+        const auto rows = randomWords(rng, 16);
+        std::uint16_t want[16];
+        naiveTranspose16x16(rows.data(), want);
+        std::uint16_t got[16];
+        transpose16x16(rows.data(), got);
+        EXPECT_EQ(std::memcmp(got, want, sizeof(got)), 0)
+            << "trial " << trial;
+    }
+}
+
+TEST(BitopsSimd, Transpose16x16InPlace)
+{
+    Rng rng(26);
+    for (int trial = 0; trial < 50; ++trial) {
+        const auto rows = randomWords(rng, 16);
+        std::uint16_t want[16];
+        naiveTranspose16x16(rows.data(), want);
+        std::uint16_t buf[16];
+        std::memcpy(buf, rows.data(), sizeof(buf));
+        transpose16x16(buf, buf); // in == out must be safe
+        EXPECT_EQ(std::memcmp(buf, want, sizeof(buf)), 0);
+    }
+}
+
+TEST(BitopsSimd, UnalignedBuffers)
+{
+    // The batched loads read four words at a time through uint16_t*,
+    // so offsets 0..15 words cover every 2-byte misalignment.
+    Rng rng(27);
+    const auto backing = randomWords(rng, 4096);
+    for (std::size_t off = 0; off < 16; ++off) {
+        const std::uint16_t *p = backing.data() + off;
+        const std::size_t n = 4096 - off;
+        EXPECT_EQ(popcountBuffer16(p, n), naivePopcount(p, n))
+            << "off=" << off;
+        EXPECT_EQ(maskedPopcount16(p, n, 0x5A3C),
+                  naivePopcount(p, n, 0x5A3C))
+            << "off=" << off;
+    }
+}
+
+TEST(BitopsSimd, WideRandomBuffers)
+{
+    Rng rng(28);
+    for (std::size_t n : {64u, 255u, 1024u, 100000u}) {
+        const auto a = randomWords(rng, n);
+        EXPECT_EQ(popcountBuffer16(a.data(), n),
+                  naivePopcount(a.data(), n))
+            << "n=" << n;
+        EXPECT_EQ(maskedPopcount16(a.data(), n, 0x0F0F),
+                  naivePopcount(a.data(), n, 0x0F0F))
+            << "n=" << n;
+    }
 }
 
 } // namespace

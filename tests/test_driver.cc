@@ -4,7 +4,9 @@
  * parser shared by every binary, runKernel() routing through an
  * ExecutionContext, DriverSession's plan/replay orchestration, and
  * context reuse across back-to-back sweeps in one process — the
- * embedding contract the bench singletons could never offer.
+ * embedding contract the bench singletons could never offer — and
+ * the failure contract: a throwing job fails the sweep with the same
+ * first error at any --jobs count.
  * Labeled "driver" so every sanitizer preset runs it (see
  * CMakePresets.json).
  */
@@ -21,6 +23,7 @@
 #include "driver/kernel_run.hh"
 #include "driver/sweep_request.hh"
 #include "driver/version.hh"
+#include "poison_model.hh"
 #include "stc/registry.hh"
 
 namespace unistc
@@ -103,8 +106,6 @@ TEST(SweepRequestParse, DefaultsAreSerialAndUnsharded)
     EXPECT_FALSE(cli.request.smoke);
     EXPECT_EQ(cli.request.jobs, 1);
     EXPECT_TRUE(cli.request.resumePath.empty());
-    EXPECT_FALSE(cli.request.strict);
-    EXPECT_EQ(cli.request.maxJobSeconds, 0.0);
     EXPECT_EQ(cli.request.shards, 1);
     EXPECT_EQ(cli.request.shard, -1);
     EXPECT_FALSE(cli.request.cacheFlagged);
@@ -115,8 +116,7 @@ TEST(SweepRequestParse, StandardFamilyRoundTrips)
 {
     const driver::ParsedCli cli = parseOk(
         {"--quick", "--jobs", "3", "--resume", "/tmp/ck",
-         "--strict", "--max-job-seconds", "2.5", "--log-level",
-         "warn", "--shards", "4", "--shard-max-seconds", "9",
+         "--log-level", "warn", "--shards", "4", "--shard-max-seconds", "9",
          "--shard-heartbeat-seconds", "1.5", "--shard-retries", "2",
          "--shard-backoff-seconds", "0.5", "--shard-strict",
          "--cache-dir", "/tmp/cache", "--cache", "ro"});
@@ -124,8 +124,6 @@ TEST(SweepRequestParse, StandardFamilyRoundTrips)
     EXPECT_TRUE(req.quick);
     EXPECT_EQ(req.jobs, 3);
     EXPECT_EQ(req.resumePath, "/tmp/ck");
-    EXPECT_TRUE(req.strict);
-    EXPECT_DOUBLE_EQ(req.maxJobSeconds, 2.5);
     EXPECT_TRUE(req.logLevelSet);
     EXPECT_EQ(req.logLevel, LogLevel::Warn);
     EXPECT_EQ(req.shards, 4);
@@ -162,7 +160,7 @@ TEST(SweepRequestParse, RejectsMissingValueAndBadNumbers)
     parseError({"--jobs"});
     parseError({"--jobs", "three"});
     parseError({"--jobs", "-2"});
-    parseError({"--max-job-seconds", "-1"});
+    parseError({"--shard-max-seconds", "-1"});
     parseError({"--shards", "0"});
 }
 
@@ -260,7 +258,6 @@ TEST(DriverKernelRun, SerialRunMatchesInlineExecution)
     expectSameResult(inline_r, driven);
     EXPECT_FALSE(info.resumed);
     EXPECT_FALSE(info.quarantined);
-    EXPECT_EQ(info.attempts, 1);
 }
 
 namespace
@@ -446,6 +443,69 @@ TEST(DriverSessionTest, ReportingPassFlagGuardsPlanPass)
     // The context is reusable state after the run: no live executor.
     EXPECT_EQ(ctx.sweepExecutor(), nullptr);
     EXPECT_TRUE(ctx.reportingPass());
+}
+
+
+namespace
+{
+
+/**
+ * A sweep over a sparse and a fully dense matrix whose poison models
+ * throw on the dense one: "Poison-2" runs there before "Poison-1",
+ * so a serial run stops at Poison-2's error.
+ */
+void
+poisonedSweep()
+{
+    const MachineConfig cfg = MachineConfig::fp64();
+    const auto clean = makeStcModel("DS-STC", cfg);
+    const PoisonModel first("Poison-1", cfg);
+    const PoisonModel second("Poison-2", cfg);
+    const std::vector<const StcModel *> sparseOrder = {
+        clean.get(), &first, &second};
+    const std::vector<const StcModel *> denseOrder = {
+        clean.get(), &second, &first};
+    const driver::Prepared sparse("banded",
+                                  genBanded(192, 8, 0.5, 3));
+    for (const StcModel *m : sparseOrder)
+        driver::runKernel(Kernel::SpMV, *m, sparse);
+    const driver::Prepared dense("dense",
+                                 genRandomUniform(64, 64, 1.0, 5));
+    for (const StcModel *m : denseOrder)
+        driver::runKernel(Kernel::SpMV, *m, dense);
+}
+
+} // namespace
+
+TEST(DriverSessionTest, FailingJobFailsTheSweepAtAnyJobCount)
+{
+    // --jobs 1 runs the body inline; --jobs 4 plans every job, runs
+    // them on a pool and rethrows at the barrier. Both must surface
+    // the same first failure and never reach a reporting pass.
+    for (const char *jobs : {"1", "4"}) {
+        SCOPED_TRACE(std::string("--jobs ") + jobs);
+        driver::ParsedCli cli = parseOk({"--jobs", jobs});
+        driver::ExecutionContext ctx;
+        driver::DriverSession session(ctx);
+        Argv argv({"--jobs", jobs});
+        int reportingPasses = 0;
+        try {
+            session.run(cli.request, argv.argc(), argv.argv(),
+                        [&](int, char **) {
+                            if (ctx.reportingPass())
+                                ++reportingPasses;
+                            poisonedSweep();
+                            return 0;
+                        });
+            ADD_FAILURE() << "the sweep did not fail";
+        } catch (const UnistcError &e) {
+            EXPECT_EQ(e.status().message(),
+                      PoisonModel::errorFor("Poison-2"));
+        }
+        // Serial: the one (reporting) pass throws mid-body. Parallel:
+        // only the silent plan pass ran; replay never started.
+        EXPECT_EQ(reportingPasses, std::string(jobs) == "1" ? 1 : 0);
+    }
 }
 
 } // namespace

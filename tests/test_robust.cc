@@ -3,9 +3,9 @@
  * Robustness-layer tests (docs/ROBUSTNESS.md): the typed error
  * model, the structural validators against every FaultPlan data
  * corruption class, a corrupted-file corpus over the BBC binary
- * format, Matrix Market parser hardening, the executor's watchdog /
- * retry / quarantine machinery (including the jobs-determinism
- * guarantee with recovery enabled), and checkpoint/resume.
+ * format, Matrix Market parser hardening, the executor's failure
+ * contract (the first failure in submission order, at any worker
+ * count), and checkpoint/resume.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +26,7 @@
 #include "corpus/generators.hh"
 #include "exec/job_spec.hh"
 #include "exec/sweep_executor.hh"
-#include "obs/metrics_export.hh"
+#include "poison_model.hh"
 #include "robust/checkpoint.hh"
 #include "robust/checksum.hh"
 #include "robust/fault_inject.hh"
@@ -520,169 +520,77 @@ TEST(SparseIoHardening, PatternAndSymmetricStillWork)
 }
 
 // ---------------------------------------------------------------------
-// Executor recovery: retry, quarantine, strict, watchdog, determinism.
+// Executor failure: a throwing job fails the sweep with the first
+// failure in submission order, at any worker count.
 // ---------------------------------------------------------------------
 
-TEST(ExecRecovery, TransientFaultIsRetriedAndRecovers)
+namespace
 {
-    const auto a = std::make_shared<const BbcMatrix>(sampleBbc());
 
-    SweepExecutor::Options opt;
-    opt.jobs = 1;
-    opt.maxRetries = 2;
-    opt.statsPrefix = "t.";
-    SweepExecutor exec(opt);
-
-    JobSpec clean = tinyJob(a, "clean");
-    const std::size_t i_clean = exec.submit(std::move(clean));
-
-    JobSpec flaky = tinyJob(a, "flaky");
-    auto fault = std::make_shared<FaultSpec>();
-    fault->throwCount = 1; // first attempt throws, retry succeeds
-    flaky.fault = fault;
-    const std::size_t i_flaky = exec.submit(std::move(flaky));
-    exec.wait();
-
-    EXPECT_TRUE(exec.outcome(i_flaky).ok);
-    EXPECT_EQ(exec.outcome(i_flaky).attempts, 2);
-    EXPECT_EQ(exec.outcome(i_clean).attempts, 1);
-    // The recovered job's result matches the clean job (same spec
-    // modulo seed-irrelevant SpMV).
-    EXPECT_GT(exec.result(i_flaky).cycles, 0u);
-    EXPECT_EQ(exec.stats().counter("robust.jobs_retried"), 1u);
-    EXPECT_EQ(exec.stats().counter("robust.faults_detected"), 1u);
-    EXPECT_EQ(exec.stats().counter("robust.jobs_quarantined"), 0u);
+/** A job over a fully dense matrix on a PoisonModel named @p name. */
+JobSpec
+poisonedJob(const std::shared_ptr<const BbcMatrix> &dense,
+            const std::string &name)
+{
+    JobSpec spec = tinyJob(dense, "dense");
+    spec.model = name;
+    spec.impl =
+        std::make_shared<PoisonModel>(name, MachineConfig::fp64());
+    return spec;
 }
 
-TEST(ExecRecovery, PersistentFaultIsQuarantined)
-{
-    const auto a = std::make_shared<const BbcMatrix>(sampleBbc());
-
-    SweepExecutor::Options opt;
-    opt.jobs = 2;
-    opt.maxRetries = 1;
-    opt.quarantine = true;
-    opt.statsPrefix = "t.";
-    SweepExecutor exec(opt);
-
-    JobSpec doomed = tinyJob(a, "doomed");
-    auto fault = std::make_shared<FaultSpec>();
-    fault->throwCount = 100; // every attempt throws
-    doomed.fault = fault;
-    const std::size_t i_doomed = exec.submit(std::move(doomed));
-    const std::size_t i_ok = exec.submit(tinyJob(a, "survivor"));
-    exec.wait();
-
-    const auto out = exec.outcome(i_doomed);
-    EXPECT_FALSE(out.ok);
-    EXPECT_EQ(out.attempts, 2);
-    EXPECT_NE(out.error.find("injected fault"), std::string::npos);
-    // Quarantined result is zeroed, the rest of the sweep survives.
-    EXPECT_EQ(exec.result(i_doomed).cycles, 0u);
-    EXPECT_GT(exec.result(i_ok).cycles, 0u);
-    EXPECT_EQ(exec.stats().counter("robust.jobs_quarantined"), 1u);
-    EXPECT_EQ(exec.stats().counter("robust.faults_detected"), 2u);
-}
+} // namespace
 
 TEST(ExecRecovery, StrictModeRaisesTheFirstFailure)
 {
     const auto a = std::make_shared<const BbcMatrix>(sampleBbc());
+    const auto dense = std::make_shared<const BbcMatrix>(
+        BbcMatrix::fromCsr(genRandomUniform(64, 64, 1.0, 5)));
 
     SweepExecutor::Options opt;
     opt.jobs = 1;
-    opt.quarantine = false; // strict
     SweepExecutor exec(opt);
+    exec.submit(tinyJob(a, "clean"));
+    exec.submit(poisonedJob(dense, "Poison-1"));
 
-    JobSpec doomed = tinyJob(a, "doomed");
-    auto fault = std::make_shared<FaultSpec>();
-    fault->throwCount = 100;
-    doomed.fault = fault;
-    exec.submit(std::move(doomed));
-
-    ScopedFatalThrow guard;
-    EXPECT_THROW(exec.wait(), UnistcError);
-}
-
-TEST(ExecRecovery, WatchdogFlagsOverrunningJobs)
-{
-    const auto a = std::make_shared<const BbcMatrix>(sampleBbc());
-
-    SweepExecutor::Options opt;
-    opt.jobs = 1;
-    opt.maxJobSeconds = 0.01;
-    opt.quarantine = true;
-    opt.statsPrefix = "t.";
-    SweepExecutor exec(opt);
-
-    JobSpec slow = tinyJob(a, "slow");
-    auto fault = std::make_shared<FaultSpec>();
-    fault->delayMs = 100; // well past the 10 ms budget
-    slow.fault = fault;
-    const std::size_t i_slow = exec.submit(std::move(slow));
-    const std::size_t i_fast = exec.submit(tinyJob(a, "fast"));
-    exec.wait();
-
-    const auto out = exec.outcome(i_slow);
-    EXPECT_FALSE(out.ok);
-    EXPECT_TRUE(out.timedOut);
-    EXPECT_EQ(out.attempts, 1); // timeouts are not retried
-    EXPECT_NE(out.error.find("budget"), std::string::npos);
-    EXPECT_EQ(exec.result(i_slow).cycles, 0u);
-    EXPECT_TRUE(exec.outcome(i_fast).ok);
-    EXPECT_EQ(exec.stats().counter("robust.jobs_quarantined"), 1u);
+    try {
+        exec.wait();
+        ADD_FAILURE() << "wait() did not rethrow the failed job";
+    } catch (const UnistcError &e) {
+        EXPECT_EQ(e.status().message(),
+                  PoisonModel::errorFor("Poison-1"));
+    }
 }
 
 TEST(ExecRecovery, DeterministicAcrossWorkerCountsWithFaults)
 {
-    // The headline guarantee must survive recovery: a sweep with a
-    // deterministic fault plan (one transient, one persistent fault)
-    // merges to byte-identical stats with 1 worker and with 4.
-    auto run = [](int jobs) {
+    // Two failing jobs among clean ones: whichever worker fails
+    // first in time, wait() reports the one submitted first — the
+    // failure a serial run would have stopped at.
+    auto firstFailure = [](int jobs) {
         const auto a =
             std::make_shared<const BbcMatrix>(sampleBbc());
-        const auto b = std::make_shared<const BbcMatrix>(
-            BbcMatrix::fromCsr(genRandomUniform(96, 96, 0.06, 21)));
+        const auto dense = std::make_shared<const BbcMatrix>(
+            BbcMatrix::fromCsr(genRandomUniform(64, 64, 1.0, 5)));
 
         SweepExecutor::Options opt;
         opt.jobs = jobs;
-        opt.maxRetries = 1;
-        opt.quarantine = true;
-        opt.statsPrefix = "sweep.";
         SweepExecutor exec(opt);
-
-        int n = 0;
-        for (const auto &mat : {a, b}) {
-            for (const Kernel k :
-                 {Kernel::SpMV, Kernel::SpMSpV, Kernel::SpMM}) {
-                JobSpec spec;
-                spec.kernel = k;
-                spec.model = "Uni-STC";
-                spec.config = MachineConfig::fp64();
-                spec.matrix = mat == a ? "banded" : "random";
-                spec.a = mat;
-                if (n == 1) { // transient: retry recovers it
-                    auto f = std::make_shared<FaultSpec>();
-                    f->throwCount = 1;
-                    spec.fault = f;
-                }
-                if (n == 4) { // persistent: quarantined
-                    auto f = std::make_shared<FaultSpec>();
-                    f->throwCount = 100;
-                    spec.fault = f;
-                }
-                ++n;
-                exec.submit(std::move(spec));
-            }
+        for (int i = 0; i < 3; ++i)
+            exec.submit(tinyJob(a, "clean" + std::to_string(i)));
+        exec.submit(poisonedJob(dense, "Poison-2"));
+        exec.submit(tinyJob(a, "clean3"));
+        exec.submit(poisonedJob(dense, "Poison-1"));
+        try {
+            exec.wait();
+        } catch (const UnistcError &e) {
+            return e.status().message();
         }
-        exec.wait();
-        EXPECT_EQ(exec.stats().counter("robust.jobs_quarantined"),
-                  1u);
-        return statsJson(exec.stats());
+        return std::string("no failure");
     };
 
-    const std::string serial = run(1);
-    const std::string parallel = run(4);
-    EXPECT_EQ(serial, parallel);
+    EXPECT_EQ(firstFailure(1), PoisonModel::errorFor("Poison-2"));
+    EXPECT_EQ(firstFailure(4), PoisonModel::errorFor("Poison-2"));
 }
 
 // ---------------------------------------------------------------------
