@@ -7,6 +7,11 @@
  * operate on 16-bit words because every bitmap in Uni-STC (tile-level
  * and element-level) is a 4x4 = 16-bit map. Plain portable C++: the
  * bulk kernels batch four words per 64-bit load (SWAR).
+ *
+ * Every popcount here goes through the inline SWAR bodies of
+ * popcount16()/popcount64(). On a baseline x86-64 target (no POPCNT)
+ * GCC lowers std::popcount to an out-of-line libgcc call, which the
+ * simulator's inner loops would otherwise pay once per bitmap count.
  */
 
 #ifndef UNISTC_COMMON_BITOPS_HH
@@ -21,18 +26,29 @@
 namespace unistc
 {
 
-/** Number of set bits in a 16-bit bitmap word. */
+/** Number of set bits in a 16-bit bitmap word (inline SWAR). */
 inline int
 popcount16(std::uint16_t v)
 {
-    return std::popcount(v);
+    // Bit pairs, then nibbles, then bytes; the final add folds the
+    // high byte's count into the low byte.
+    std::uint32_t x = v;
+    x -= (x >> 1) & 0x5555u;
+    x = (x & 0x3333u) + ((x >> 2) & 0x3333u);
+    x = (x + (x >> 4)) & 0x0F0Fu;
+    return static_cast<int>((x + (x >> 8)) & 0x1Fu);
 }
 
-/** Number of set bits in a 64-bit word. */
+/** Number of set bits in a 64-bit word (inline SWAR). */
 inline int
 popcount64(std::uint64_t v)
 {
-    return std::popcount(v);
+    // Per-byte counts as in popcount16(); the multiply sums all eight
+    // bytes into the top one.
+    v -= (v >> 1) & 0x5555555555555555ull;
+    v = (v & 0x3333333333333333ull) + ((v >> 2) & 0x3333333333333333ull);
+    v = (v + (v >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+    return static_cast<int>((v * 0x0101010101010101ull) >> 56);
 }
 
 /** True when bit @p idx (0 = LSB) is set. */
@@ -59,7 +75,7 @@ bitRank(std::uint16_t v, int idx)
 {
     const std::uint16_t mask =
         static_cast<std::uint16_t>((1u << idx) - 1u);
-    return std::popcount(static_cast<std::uint16_t>(v & mask));
+    return popcount16(static_cast<std::uint16_t>(v & mask));
 }
 
 /** Index (0 = LSB) of the n-th (0-based) set bit; -1 when absent. */
@@ -189,10 +205,9 @@ popcountBuffer16(const std::uint16_t *p, std::size_t n)
     const std::size_t whole = n - n % 4;
     std::uint64_t total = 0;
     for (std::size_t i = 0; i < whole; i += 4)
-        total += static_cast<std::uint64_t>(
-            std::popcount(load4x16(p + i)));
+        total += static_cast<std::uint64_t>(popcount64(load4x16(p + i)));
     for (std::size_t i = whole; i < n; ++i)
-        total += static_cast<std::uint64_t>(std::popcount(p[i]));
+        total += static_cast<std::uint64_t>(popcount16(p[i]));
     return total;
 }
 
@@ -207,10 +222,10 @@ maskedPopcount16(const std::uint16_t *p, std::size_t n,
     std::uint64_t total = 0;
     for (std::size_t i = 0; i < whole; i += 4)
         total += static_cast<std::uint64_t>(
-            std::popcount(load4x16(p + i) & wide));
+            popcount64(load4x16(p + i) & wide));
     for (std::size_t i = whole; i < n; ++i)
-        total += static_cast<std::uint64_t>(std::popcount(
-            static_cast<std::uint16_t>(p[i] & mask)));
+        total += static_cast<std::uint64_t>(
+            popcount16(static_cast<std::uint16_t>(p[i] & mask)));
     return total;
 }
 

@@ -19,21 +19,11 @@
 #include <algorithm>
 
 #include "common/bitops.hh"
-#include "common/small_vector.hh"
 #include "obs/trace.hh"
 #include "stc/stc_model.hh"
 
 namespace unistc
 {
-
-/** Per-cycle event tallies of one row's sub-step sequence. */
-struct RowStep
-{
-    int products = 0;  ///< Effective MACs this sub-step.
-    int readsB = 0;    ///< Effective B fetches.
-    int wastedB = 0;   ///< B lanes toggled without a nonzero.
-    int writesC = 0;   ///< Merged partial sums written.
-};
 
 /**
  * Execute one T1 task under the M x N x K grouped row dataflow,
@@ -66,19 +56,26 @@ runRowDataflow(const BlockTask &task, const MachineConfig &cfg,
     // Column bitmaps of B: bit k of bCols[c] says row k holds column c.
     const std::uint16_t *b_cols = task.bInfo().cols.data();
 
-    // Per-row sub-step sequences, reused across groups. A row emits at
-    // most ceil(16/t3k) scalar groups x ceil(16/t3n) column chunks
-    // sub-steps, which stays within the inline capacity for every
-    // RM-STC/Trapezoid geometry (worst case 8x8 = 64).
-    SmallVector<RowStep, 64> row_steps[kBlockSize];
+    // Lock-step effective products per cycle of the current group:
+    // row sub-step s lands in cycle s, and the group runs as many
+    // cycles as its longest row. A row runs at most ceil(16/t3k)
+    // scalar groups x ceil(16/t3n) column chunks <= 256 sub-steps.
+    // Traffic is an order-free integer total, so it is summed as each
+    // sub-step is added.
+    int cycle_eff[kBlockSize * kBlockSize];
 
     for (int g = 0; g < kBlockSize; g += t3m) {
-        // Build every row's sub-step trace, then merge in lock-step.
         const int n_rows = std::min(t3m, kBlockSize - g);
+        int group_cycles = 0;
 
         for (int ri = 0; ri < n_rows; ++ri) {
-            SmallVector<RowStep, 64> &steps = row_steps[ri];
-            steps.clear();
+            int step = 0;
+            // Adds this row's next sub-step with `products` MACs.
+            const auto addStep = [&](int products) {
+                if (step == group_cycles)
+                    cycle_eff[group_cycles++] = 0;
+                cycle_eff[step++] += products;
+            };
             std::uint8_t ks[kBlockSize];
             int n_ks = 0;
             forEachSetBit(task.a.rowBits(g + ri), [&](int k) {
@@ -108,7 +105,7 @@ runRowDataflow(const BlockTask &task, const MachineConfig &cfg,
                 if (!merged) {
                     // Scalars matched nothing (e.g. sparse x): the
                     // sub-step is still issued and burns the lanes.
-                    steps.push_back(RowStep{});
+                    addStep(0);
                     continue;
                 }
 
@@ -134,42 +131,24 @@ runRowDataflow(const BlockTask &task, const MachineConfig &cfg,
                     }
                 }
                 for (int ci = 0; ci < n_cols; ci += t3n) {
-                    RowStep step;
                     const int chunk = std::min(t3n, n_cols - ci);
-                    for (int x = 0; x < chunk; ++x) {
-                        const int hits = popcount16(
-                            b_cols[cols[ci + x]] & gmask);
-                        step.products += hits;
-                        step.readsB += hits;
-                        // Lanes for scalars whose B row lacks column
-                        // c toggle without useful work (row-merge's
-                        // cost on disjoint rows).
-                        step.wastedB += group_sz - hits;
-                        ++step.writesC; // merged by the K-wide adder
-                    }
-                    steps.push_back(step);
+                    int hits = 0;
+                    for (int x = 0; x < chunk; ++x)
+                        hits += popcount16(b_cols[cols[ci + x]] & gmask);
+                    addStep(hits);
+                    res.traffic.readsB += hits;
+                    // Lanes for scalars whose B row lacks column c
+                    // toggle without useful work (row-merge's cost on
+                    // disjoint rows).
+                    res.traffic.wastedB += chunk * group_sz - hits;
+                    res.traffic.writesC += chunk; // K-wide adder merge
                 }
             }
         }
-
-        std::size_t group_cycles = 0;
-        for (int ri = 0; ri < n_rows; ++ri)
-            group_cycles = std::max(group_cycles, row_steps[ri].size());
 
         const std::uint64_t group_start = res.cycles;
-        for (std::size_t cyc = 0; cyc < group_cycles; ++cyc) {
-            int eff = 0;
-            for (int ri = 0; ri < n_rows; ++ri) {
-                const SmallVector<RowStep, 64> &steps = row_steps[ri];
-                if (cyc < steps.size()) {
-                    eff += steps[cyc].products;
-                    res.traffic.readsB += steps[cyc].readsB;
-                    res.traffic.wastedB += steps[cyc].wastedB;
-                    res.traffic.writesC += steps[cyc].writesC;
-                }
-            }
-            res.recordCycle(mac, eff, 0, c_net_units);
-        }
+        for (int cyc = 0; cyc < group_cycles; ++cyc)
+            res.recordCycle(mac, cycle_eff[cyc], 0, c_net_units);
         if (group_cycles > 0) {
             UNISTC_TRACE_COMPLETE(trace, TraceTrack::Sdpu,
                                   "row group " + std::to_string(g / t3m),

@@ -20,13 +20,14 @@
 #ifndef UNISTC_UNISTC_SDPU_HH
 #define UNISTC_UNISTC_SDPU_HH
 
+#include <bit>
+#include <cstdint>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
-#include "common/small_vector.hh"
 #include "unistc/tile_task.hh"
 
 namespace unistc
@@ -71,10 +72,12 @@ struct SdpuCycleView
 /**
  * Pack an ordered T3 task stream into SDPU cycles, invoking
  * @p fn(const SdpuCycleView &) once per cycle, in order. Performs no
- * heap allocation for typical task counts (<= 64 tasks per T1 task).
+ * heap allocation: a T1 task expands to at most 64 T3 tasks, so the
+ * pending set is one 64-bit mask over @p tasks (bit n = task n still
+ * waiting) and each cycle scans its set bits in stream order.
  *
- * @param tasks TMS-ordered tasks (zero-product tasks are skipped by
- *        the TMS and must not appear here).
+ * @param tasks TMS-ordered tasks, at most 64 (zero-product tasks are
+ *        skipped by the TMS and must not appear here).
  * @param num_dpgs parallel task limit per cycle.
  * @param mac_count multiplier budget per cycle.
  * @param check_conflicts enforce the one-writer-per-C-tile rule.
@@ -90,66 +93,53 @@ forEachSdpuCycle(std::span<const TileTask> tasks, int num_dpgs,
 {
     UNISTC_ASSERT(num_dpgs > 0 && mac_count > 0,
                   "bad SDPU configuration");
+    UNISTC_ASSERT(tasks.size() <= 64,
+                  "a T1 task expands to at most 64 T3 tasks, got ",
+                  tasks.size());
 
-    SmallVector<const TileTask *, 64> pending;
-    pending.reserve(tasks.size());
-    for (const TileTask &t : tasks)
-        pending.push_back(&t);
+    std::uint64_t pending = tasks.size() == 64
+        ? ~std::uint64_t{0}
+        : (std::uint64_t{1} << tasks.size()) - 1u;
+    const TileTask *executed[64];
 
-    SmallVector<const TileTask *, 64> next;
-    SmallVector<const TileTask *, 16> executed;
-
-    while (!pending.empty()) {
-        next.clear();
-        executed.clear();
-
+    while (pending) {
         SdpuCycleView cycle;
+        int n_executed = 0;
         int used_slots = 0;
         int used_dpgs = 0;
         std::uint16_t c_tiles = 0;
-        bool stop_scan = false;
 
-        for (const TileTask *task : pending) {
-            if (stop_scan || used_dpgs == num_dpgs) {
-                next.push_back(task);
-                continue;
-            }
-            UNISTC_ASSERT(task->products > 0 &&
-                          task->products <= mac_count,
+        for (std::uint64_t scan = pending;
+             scan && used_dpgs < num_dpgs; scan &= scan - 1u) {
+            const int idx = std::countr_zero(scan);
+            const TileTask &task = tasks[idx];
+            UNISTC_ASSERT(task.products > 0 &&
+                          task.products <= mac_count,
                           "T3 task products out of range");
-            if (check_conflicts && testBit(c_tiles, task->cTileId())) {
+            if (check_conflicts && testBit(c_tiles, task.cTileId())) {
                 // Write conflict: the task's DPG waits this cycle.
                 ++used_dpgs;
                 ++cycle.waitingDpgs;
                 cycle.hadConflict = true;
-                next.push_back(task);
                 continue;
             }
-            if (used_slots + task->products > mac_count) {
-                // In-order concatenation: the SDPU fill stops here.
-                next.push_back(task);
-                stop_scan = true;
-                continue;
-            }
-            used_slots += task->products;
+            if (used_slots + task.products > mac_count)
+                break; // in-order concatenation: the SDPU fill stops
+            used_slots += task.products;
             ++used_dpgs;
-            c_tiles = setBit(c_tiles, task->cTileId());
-            executed.push_back(task);
+            c_tiles = setBit(c_tiles, task.cTileId());
+            executed[n_executed++] = &task;
+            pending &= ~(std::uint64_t{1} << idx);
         }
 
-        UNISTC_ASSERT(!executed.empty() || cycle.waitingDpgs > 0,
-                      "SDPU cycle made no progress");
         // A cycle of pure conflict stalls cannot happen: the first
         // pending task always finds its C tile free.
-        UNISTC_ASSERT(!executed.empty(),
-                      "SDPU deadlock: no task executed");
+        UNISTC_ASSERT(n_executed > 0, "SDPU deadlock: no task executed");
 
         cycle.executed = std::span<const TileTask *const>(
-            executed.data(), executed.size());
+            executed, static_cast<std::size_t>(n_executed));
         cycle.totalProducts = used_slots;
         fn(std::as_const(cycle));
-
-        std::swap(pending, next);
     }
 }
 

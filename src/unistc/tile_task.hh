@@ -26,6 +26,13 @@ struct TileTask
     int products = 0; ///< Intermediate products (<= 64).
     int segments = 0; ///< T4 dot-product segments (<= 16).
 
+    /**
+     * Distinct A / B tile elements that take part in at least one
+     * product (activeOperands()): the operands actually fetched.
+     */
+    int aElems = 0;
+    int bElems = 0;
+
     /** C-tile identity used for write-conflict detection. */
     int cTileId() const { return i * 4 + j; }
 };

@@ -1,6 +1,7 @@
 #include "unistc/tms.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
@@ -12,25 +13,92 @@ namespace unistc
 namespace
 {
 
-/** Build the task for (i, j, k) if it produces any work. */
-bool
-makeTask(const PatternMeta &a, const PatternMeta &b, int i, int j,
-         int k, int n_cols, TileTask &out)
+/**
+ * One live A tile (i, k), prepared once per T1 task and shared by
+ * every (i, j, k) triple that reads it.
+ */
+struct ATileOps
 {
-    const std::uint16_t a_tile = a.tiles[i * kTilesPerEdge + k];
-    const std::uint16_t b_tile = b.tiles[k * kTilesPerEdge + j];
-    if (!a_tile || !b_tile)
-        return false;
-    const int products = tileProductCount(a_tile, b_tile, n_cols);
-    if (products == 0)
+    std::uint16_t tile = 0;
+    /** Lane r (16 bits) holds row r broadcast to all four nibbles. */
+    std::uint64_t rows = 0;
+    /** Transposed tile: nibble k is column k of A. */
+    std::uint16_t cols = 0;
+    /** Nibble k is 0xF iff column k of A is non-empty. */
+    std::uint16_t liveCols = 0;
+};
+
+/**
+ * One live B tile (k, j) restricted to the output columns, prepared
+ * once per T1 task and shared by every triple that reads it.
+ */
+struct BTileOps
+{
+    std::uint16_t tile = 0;
+    /** Transposed tile (nibble c = column c) in all four lanes. */
+    std::uint64_t cols = 0;
+    /** Tile masked to the output columns: nibble k is row k. */
+    std::uint16_t rows = 0;
+    /** Nibble k is 0xF iff row k of the masked tile is non-empty. */
+    std::uint16_t liveRows = 0;
+};
+
+ATileOps
+prepareA(std::uint16_t tile)
+{
+    ATileOps op;
+    op.tile = tile;
+    std::uint64_t spread = 0;
+    for (int r = 0; r < kTileSize; ++r)
+        spread |= std::uint64_t{row4(tile, r)} << (16 * r);
+    // Lane values are at most 0xF, so one multiply broadcasts every
+    // lane's row into its four nibbles without carries between lanes.
+    op.rows = spread * 0x1111u;
+    op.cols = transpose4x4(tile);
+    op.liveCols = liveNibbleMask4(op.cols);
+    return op;
+}
+
+BTileOps
+prepareB(std::uint16_t tile, int n_cols)
+{
+    BTileOps op;
+    op.tile = tile;
+    const std::uint32_t keep = (1u << (4 * n_cols)) - 1u;
+    op.cols = std::uint64_t{transpose4x4(tile) & keep} *
+        0x0001000100010001ull;
+    op.rows = static_cast<std::uint16_t>(
+        tile & rep4(static_cast<std::uint16_t>((1u << n_cols) - 1u)));
+    op.liveRows = liveNibbleMask4(op.rows);
+    return op;
+}
+
+/**
+ * Build the task for (i, j, k) if it produces any work. Lane r, nibble
+ * c, bit k of the match word is A(r, k) & B(k, c), so products and
+ * segments (tileProductCount / tileSegmentCount) are two popcounts of
+ * it and the operand counts (activeOperands) two more. A dead tile's
+ * ops are all zero, so its triples yield no match.
+ */
+bool
+makeTask(const ATileOps &a, const BTileOps &b, int i, int j, int k,
+         TileTask &out)
+{
+    const std::uint64_t match = a.rows & b.cols;
+    if (!match)
         return false; // bitmap product is empty: DPG emits nothing
+    const std::uint64_t nonzero_nibbles =
+        (match | (match >> 1) | (match >> 2) | (match >> 3)) &
+        0x1111111111111111ull;
     out.i = static_cast<std::int8_t>(i);
     out.j = static_cast<std::int8_t>(j);
     out.k = static_cast<std::int8_t>(k);
-    out.aTile = a_tile;
-    out.bTile = b_tile;
-    out.products = products;
-    out.segments = tileSegmentCount(a_tile, b_tile, n_cols);
+    out.aTile = a.tile;
+    out.bTile = b.tile;
+    out.products = popcount64(match);
+    out.segments = popcount64(nonzero_nibbles);
+    out.aElems = popcount16(static_cast<std::uint16_t>(a.cols & b.liveRows));
+    out.bElems = popcount16(static_cast<std::uint16_t>(b.rows & a.liveCols));
     return true;
 }
 
@@ -79,25 +147,53 @@ generateTileTasks(const PatternMeta &a_meta, const PatternMeta &b_meta,
     const int n_cols = n_tile_cols == 1 ? 1 : 4;
     TileTaskList tasks;
 
+    // Tile-level work, once per live tile: the Lv1 maps say which
+    // tiles exist, and B tiles past the output tile columns are never
+    // read.
+    const std::uint16_t b_live = static_cast<std::uint16_t>(
+        b_meta.tileBits &
+        rep4(static_cast<std::uint16_t>((1u << n_tile_cols) - 1u)));
+    std::array<ATileOps, kBlockSize> a_ops{};
+    std::array<BTileOps, kBlockSize> b_ops{};
+    forEachSetBit(a_meta.tileBits,
+                  [&](int t) { a_ops[t] = prepareA(a_meta.tiles[t]); });
+    forEachSetBit(b_live, [&](int t) {
+        b_ops[t] = prepareB(b_meta.tiles[t], n_cols);
+    });
+
+    const auto emit = [&](int i, int j, int k) {
+        TileTask t;
+        if (makeTask(a_ops[i * kTilesPerEdge + k],
+                     b_ops[k * kTilesPerEdge + j], i, j, k, t)) {
+            tasks.push_back(t);
+            return true;
+        }
+        return false;
+    };
+
     switch (ordering) {
       case TaskOrdering::OuterProduct:
         // Four-layer intermediate-product bitmap: one layer per K.
+        // Within a layer only live A tile rows and B tile columns are
+        // visited, in the same (i outer, j inner) order.
         for (int k = 0; k < kTilesPerEdge; ++k) {
+            const std::uint16_t rows_k = col4(a_meta.tileBits, k);
+            const std::uint16_t cols_k = row4(b_live, k);
+            if (!rows_k || !cols_k)
+                continue;
             // Collect the layer first so the adaptive intra-layer
             // order can inspect its shape.
             const std::size_t layer_begin = tasks.size();
             std::uint16_t live_rows = 0;
             std::uint16_t live_cols = 0;
-            for (int i = 0; i < kTilesPerEdge; ++i) {
-                for (int j = 0; j < n_tile_cols; ++j) {
-                    TileTask t;
-                    if (makeTask(a_meta, b_meta, i, j, k, n_cols, t)) {
-                        tasks.push_back(t);
+            forEachSetBit(rows_k, [&](int i) {
+                forEachSetBit(cols_k, [&](int j) {
+                    if (emit(i, j, k)) {
                         live_rows = setBit(live_rows, i);
                         live_cols = setBit(live_cols, j);
                     }
-                }
-            }
+                });
+            });
             // Adaptive rule (§IV-A-1 ②): column-major when nonzero
             // rows outnumber nonzero columns, row-major otherwise.
             const bool col_major = adaptive &&
@@ -112,11 +208,8 @@ generateTileTasks(const PatternMeta &a_meta, const PatternMeta &b_meta,
       case TaskOrdering::DotProduct:
         for (int i = 0; i < kTilesPerEdge; ++i) {
             for (int j = 0; j < n_tile_cols; ++j) {
-                for (int k = 0; k < kTilesPerEdge; ++k) {
-                    TileTask t;
-                    if (makeTask(a_meta, b_meta, i, j, k, n_cols, t))
-                        tasks.push_back(t);
-                }
+                for (int k = 0; k < kTilesPerEdge; ++k)
+                    emit(i, j, k);
             }
         }
         break;
@@ -124,11 +217,8 @@ generateTileTasks(const PatternMeta &a_meta, const PatternMeta &b_meta,
       case TaskOrdering::RowRow:
         for (int i = 0; i < kTilesPerEdge; ++i) {
             for (int k = 0; k < kTilesPerEdge; ++k) {
-                for (int j = 0; j < n_tile_cols; ++j) {
-                    TileTask t;
-                    if (makeTask(a_meta, b_meta, i, j, k, n_cols, t))
-                        tasks.push_back(t);
-                }
+                for (int j = 0; j < n_tile_cols; ++j)
+                    emit(i, j, k);
             }
         }
         break;

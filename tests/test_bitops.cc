@@ -20,13 +20,57 @@ namespace unistc
 namespace
 {
 
+/** Set bits of @p v counted one bit at a time. */
+int
+naiveBits(std::uint64_t v)
+{
+    int n = 0;
+    for (int b = 0; b < 64; ++b)
+        n += static_cast<int>((v >> b) & 1u);
+    return n;
+}
+
 TEST(Bitops, Popcount16)
 {
-    EXPECT_EQ(popcount16(0x0000), 0);
-    EXPECT_EQ(popcount16(0xFFFF), 16);
-    EXPECT_EQ(popcount16(0x0001), 1);
-    EXPECT_EQ(popcount16(0x8001), 2);
-    EXPECT_EQ(popcount16(0x5555), 8);
+    for (unsigned v = 0; v <= 0xFFFF; ++v) {
+        ASSERT_EQ(popcount16(static_cast<std::uint16_t>(v)), naiveBits(v))
+            << "v=" << v;
+    }
+}
+
+TEST(Bitops, Popcount64EdgesAndRandom)
+{
+    const std::uint64_t edges[] = {
+        0, ~std::uint64_t{0}, 1, std::uint64_t{1} << 63,
+        0x8000000000000001ull, 0x5555555555555555ull,
+        0xAAAAAAAAAAAAAAAAull, 0x00000000FFFFFFFFull,
+        0xFFFFFFFF00000000ull, 0x0F0F0F0F0F0F0F0Full,
+        0x0101010101010101ull, 0xFF00FF00FF00FF00ull};
+    for (std::uint64_t v : edges) {
+        EXPECT_EQ(popcount64(v), naiveBits(v)) << std::hex << v;
+    }
+    for (int b = 0; b < 64; ++b) {
+        EXPECT_EQ(popcount64(std::uint64_t{1} << b), 1);
+        EXPECT_EQ(popcount64(~(std::uint64_t{1} << b)), 63);
+    }
+    Rng rng(12);
+    for (int n = 0; n < 10000; ++n) {
+        const std::uint64_t v = rng.next();
+        ASSERT_EQ(popcount64(v), naiveBits(v)) << std::hex << v;
+    }
+}
+
+TEST(Bitops, BitRankExhaustive)
+{
+    for (unsigned v = 0; v <= 0xFFFF; ++v) {
+        const std::uint16_t w = static_cast<std::uint16_t>(v);
+        int below = 0;
+        for (int idx = 0; idx <= 16; ++idx) {
+            ASSERT_EQ(bitRank(w, idx), below) << "v=" << v << " idx=" << idx;
+            if (idx < 16)
+                below += testBit(w, idx);
+        }
+    }
 }
 
 TEST(Bitops, TestAndSetBit)

@@ -1,10 +1,13 @@
 /**
  * @file
  * Direct tests of the grouped row-dataflow engine shared by RM-STC
- * and Trapezoid, including the gathered vs fixed-chunk column sweep.
+ * and Trapezoid, including the gathered vs fixed-chunk column sweep,
+ * and an oracle check against a per-row sub-step table reference.
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "common/rng.hh"
 #include "stc/row_dataflow.hh"
@@ -129,6 +132,233 @@ TEST(RowDataflow, TasksT3CountsScalarGroups)
     runRowDataflow(BlockTask::mm(a, b), kFp64, 8, 4, 2, 8, r);
     EXPECT_EQ(r.tasksT1, 1u);
     EXPECT_EQ(r.tasksT3, 3u);
+}
+
+// ---------------------------------------------------------------------
+// Oracle: the engine as first written, which recorded every row's
+// sub-steps with their traffic in a table and then replayed the table
+// in lock-step, one cycle at a time. The engine must produce exactly
+// the same RunResult.
+// ---------------------------------------------------------------------
+
+struct RefRowStep
+{
+    int products = 0;
+    int readsB = 0;
+    int wastedB = 0;
+    int writesC = 0;
+};
+
+void
+referenceRowDataflow(const BlockTask &task, const MachineConfig &cfg,
+                     int t3m, int t3n, int t3k, int c_net_units,
+                     RunResult &res, bool gather_columns)
+{
+    ++res.tasksT1;
+    const int mac = cfg.macCount;
+    const int n_ext = task.nExtent();
+    const std::uint16_t n_mask = n_ext == kBlockSize
+        ? 0xFFFFu
+        : static_cast<std::uint16_t>((1u << n_ext) - 1u);
+    std::vector<RefRowStep> row_steps[kBlockSize];
+
+    for (int g = 0; g < kBlockSize; g += t3m) {
+        const int n_rows = std::min(t3m, kBlockSize - g);
+        for (int ri = 0; ri < n_rows; ++ri) {
+            std::vector<RefRowStep> &steps = row_steps[ri];
+            steps.clear();
+            std::vector<int> ks;
+            for (int k = 0; k < kBlockSize; ++k) {
+                if (task.a.test(g + ri, k))
+                    ks.push_back(k);
+            }
+            const int n_ks = static_cast<int>(ks.size());
+            for (int p = 0; p < n_ks; p += t3k) {
+                const int group_sz = std::min(t3k, n_ks - p);
+                res.traffic.readsA += group_sz;
+                res.traffic.wastedA += t3k - group_sz;
+                ++res.tasksT3;
+                std::uint16_t merged = 0;
+                for (int q = 0; q < group_sz; ++q)
+                    merged |= task.b.rowBits(ks[p + q]);
+                merged &= n_mask;
+                if (!merged) {
+                    steps.push_back(RefRowStep{});
+                    continue;
+                }
+                std::vector<int> cols;
+                if (gather_columns) {
+                    for (int c = 0; c < kBlockSize; ++c) {
+                        if (testBit(merged, c))
+                            cols.push_back(c);
+                    }
+                } else {
+                    for (int base = 0; base < n_ext; base += t3n) {
+                        const int hi = std::min(base + t3n, n_ext);
+                        bool any = false;
+                        for (int c = base; c < hi; ++c)
+                            any = any || testBit(merged, c);
+                        if (!any)
+                            continue;
+                        for (int c = base; c < hi; ++c)
+                            cols.push_back(c);
+                    }
+                }
+                const int n_cols = static_cast<int>(cols.size());
+                for (int ci = 0; ci < n_cols; ci += t3n) {
+                    RefRowStep step;
+                    const int chunk = std::min(t3n, n_cols - ci);
+                    for (int x = 0; x < chunk; ++x) {
+                        int hits = 0;
+                        for (int q = 0; q < group_sz; ++q)
+                            hits += task.b.test(ks[p + q], cols[ci + x]);
+                        step.products += hits;
+                        step.readsB += hits;
+                        step.wastedB += group_sz - hits;
+                        ++step.writesC;
+                    }
+                    steps.push_back(step);
+                }
+            }
+        }
+        std::size_t group_cycles = 0;
+        for (int ri = 0; ri < n_rows; ++ri)
+            group_cycles = std::max(group_cycles, row_steps[ri].size());
+        for (std::size_t cyc = 0; cyc < group_cycles; ++cyc) {
+            int eff = 0;
+            for (int ri = 0; ri < n_rows; ++ri) {
+                const std::vector<RefRowStep> &steps = row_steps[ri];
+                if (cyc < steps.size()) {
+                    eff += steps[cyc].products;
+                    res.traffic.readsB += steps[cyc].readsB;
+                    res.traffic.wastedB += steps[cyc].wastedB;
+                    res.traffic.writesC += steps[cyc].writesC;
+                }
+            }
+            res.recordCycle(mac, eff, 0, c_net_units);
+        }
+    }
+}
+
+void
+expectSameResult(const RunResult &got, const RunResult &want)
+{
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.products, want.products);
+    EXPECT_EQ(got.macSlots, want.macSlots);
+    EXPECT_EQ(got.tasksT1, want.tasksT1);
+    EXPECT_EQ(got.tasksT3, want.tasksT3);
+    EXPECT_EQ(got.stallCycles, want.stallCycles);
+    EXPECT_EQ(got.dpgActiveAccum, want.dpgActiveAccum);
+    EXPECT_EQ(got.cNetScaleAccum, want.cNetScaleAccum);
+    ASSERT_EQ(got.utilHist.numBuckets(), want.utilHist.numBuckets());
+    for (int b = 0; b < want.utilHist.numBuckets(); ++b)
+        EXPECT_EQ(got.utilHist.bucketCount(b), want.utilHist.bucketCount(b))
+            << "bucket " << b;
+    EXPECT_EQ(got.utilHist.totalCount(), want.utilHist.totalCount());
+    EXPECT_EQ(got.traffic.readsA, want.traffic.readsA);
+    EXPECT_EQ(got.traffic.wastedA, want.traffic.wastedA);
+    EXPECT_EQ(got.traffic.readsB, want.traffic.readsB);
+    EXPECT_EQ(got.traffic.wastedB, want.traffic.wastedB);
+    EXPECT_EQ(got.traffic.writesC, want.traffic.writesC);
+}
+
+/** A block with a random density per row, so row lengths vary. */
+BlockPattern
+ragged(Rng &rng)
+{
+    BlockPattern p;
+    for (int r = 0; r < kBlockSize; ++r) {
+        const double d = rng.nextDouble();
+        for (int c = 0; c < kBlockSize; ++c) {
+            if (rng.nextDouble() < d * d)
+                p.set(r, c);
+        }
+    }
+    return p;
+}
+
+TEST(RowDataflowOracle, MatchesTableReferenceOnEveryGeometry)
+{
+    const MachineConfig fp64 = MachineConfig::fp64();
+    const MachineConfig fp32 = MachineConfig::fp32();
+    const struct
+    {
+        const MachineConfig *cfg;
+        int m, n, k;
+        bool gather;
+        int c_net;
+    } engines[] = {
+        {&fp64, 8, 4, 2, true, 32},    // RM-STC FP64
+        {&fp32, 16, 4, 2, true, 32},   // RM-STC FP32
+        {&fp64, 16, 2, 2, false, 32},  // Trapezoid TrIP FP64
+        {&fp64, 16, 4, 1, false, 32},  // Trapezoid TrGT FP64
+        {&fp64, 8, 4, 2, false, 32},   // Trapezoid TrGS FP64
+        {&fp32, 16, 4, 2, false, 32},  // Trapezoid TrIP / TrGT FP32
+        {&fp32, 8, 4, 4, false, 32},   // Trapezoid TrGS FP32
+    };
+    Rng rng(664);
+    for (int trial = 0; trial < 60; ++trial) {
+        const double da = 0.02 + 0.5 * rng.nextDouble();
+        const double db = 0.02 + 0.5 * rng.nextDouble();
+        const BlockPattern a = trial % 3 == 0
+            ? ragged(rng)
+            : BlockPattern::random(rng, da);
+        const BlockPattern b = trial % 5 == 0
+            ? BlockPattern::dense()
+            : BlockPattern::random(rng, db);
+        const std::uint16_t x =
+            static_cast<std::uint16_t>(rng.nextInRange(0, 0xFFFF));
+        for (const BlockTask &t :
+             {BlockTask::mm(a, b), BlockTask::mv(a, x)}) {
+            for (const auto &e : engines) {
+                SCOPED_TRACE(::testing::Message()
+                             << "trial " << trial << " mv=" << t.isMv
+                             << " geom " << e.m << "x" << e.n << "x"
+                             << e.k << " gather=" << e.gather);
+                RunResult got;
+                RunResult want;
+                // Two tasks into one result: accumulation must match
+                // too, not only a fresh result.
+                for (int rep = 0; rep < 2; ++rep) {
+                    runRowDataflow(t, *e.cfg, e.m, e.n, e.k, e.c_net,
+                                   got, e.gather);
+                    referenceRowDataflow(t, *e.cfg, e.m, e.n, e.k,
+                                         e.c_net, want, e.gather);
+                }
+                expectSameResult(got, want);
+            }
+        }
+    }
+}
+
+TEST(RowDataflowOracle, MatchesTableReferenceOnEdgeBlocks)
+{
+    const MachineConfig fp64 = MachineConfig::fp64();
+    BlockPattern diag, one_row, one_col;
+    for (int i = 0; i < kBlockSize; ++i) {
+        diag.set(i, i);
+        one_row.set(3, i);
+        one_col.set(i, 9);
+    }
+    const BlockPattern blocks[] = {BlockPattern{}, BlockPattern::dense(),
+                                   diag, one_row, one_col};
+    for (const BlockPattern &a : blocks) {
+        for (const BlockPattern &b : blocks) {
+            for (const BlockTask &t :
+                 {BlockTask::mm(a, b), BlockTask::mv(a, 0xFFFF),
+                  BlockTask::mv(a, 0x0001)}) {
+                for (bool gather : {true, false}) {
+                    RunResult got;
+                    RunResult want;
+                    runRowDataflow(t, fp64, 8, 4, 2, 32, got, gather);
+                    referenceRowDataflow(t, fp64, 8, 4, 2, 32, want,
+                                         gather);
+                    expectSameResult(got, want);
+                }
+            }
+        }
+    }
 }
 
 } // namespace

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/bitops.hh"
 #include "common/rng.hh"
 #include "unistc/dpg.hh"
@@ -107,6 +110,187 @@ TEST(Tms, AdaptiveOrderSelectsColumnMajorForTallLayers)
     ASSERT_EQ(tasks.size(), 4u);
     for (int i = 0; i < 4; ++i)
         EXPECT_EQ(tasks[i].i, i);
+}
+
+// ---------------------------------------------------------------------
+// Oracle for the fused T3 generator: the TMS as first written, which
+// visited all 64 (i, j, k) triples and derived each task's counts from
+// the two tile bitmaps with tileProductCount / tileSegmentCount.
+// ---------------------------------------------------------------------
+
+bool
+naiveMakeTask(const PatternMeta &a, const PatternMeta &b, int i, int j,
+              int k, int n_cols, TileTask &out)
+{
+    const std::uint16_t a_tile = a.tiles[i * kTilesPerEdge + k];
+    const std::uint16_t b_tile = b.tiles[k * kTilesPerEdge + j];
+    if (!a_tile || !b_tile)
+        return false;
+    const int products = tileProductCount(a_tile, b_tile, n_cols);
+    if (products == 0)
+        return false;
+    out.i = static_cast<std::int8_t>(i);
+    out.j = static_cast<std::int8_t>(j);
+    out.k = static_cast<std::int8_t>(k);
+    out.aTile = a_tile;
+    out.bTile = b_tile;
+    out.products = products;
+    out.segments = tileSegmentCount(a_tile, b_tile, n_cols);
+    activeOperands(a_tile, b_tile, n_cols, out.aElems, out.bElems);
+    return true;
+}
+
+std::vector<TileTask>
+naiveTileTasks(const PatternMeta &a, const PatternMeta &b,
+               int n_tile_cols, TaskOrdering ordering, bool adaptive)
+{
+    const int n_cols = n_tile_cols == 1 ? 1 : 4;
+    std::vector<TileTask> tasks;
+    TileTask t;
+    switch (ordering) {
+      case TaskOrdering::OuterProduct:
+        for (int k = 0; k < kTilesPerEdge; ++k) {
+            const std::size_t layer_begin = tasks.size();
+            std::uint16_t live_rows = 0;
+            std::uint16_t live_cols = 0;
+            for (int i = 0; i < kTilesPerEdge; ++i) {
+                for (int j = 0; j < n_tile_cols; ++j) {
+                    if (naiveMakeTask(a, b, i, j, k, n_cols, t)) {
+                        tasks.push_back(t);
+                        live_rows = setBit(live_rows, i);
+                        live_cols = setBit(live_cols, j);
+                    }
+                }
+            }
+            if (adaptive && popcount16(live_rows) > popcount16(live_cols)) {
+                std::stable_sort(
+                    tasks.begin() + static_cast<long>(layer_begin),
+                    tasks.end(),
+                    [](const TileTask &x, const TileTask &y) {
+                        return x.j != y.j ? x.j < y.j : x.i < y.i;
+                    });
+            }
+        }
+        break;
+      case TaskOrdering::DotProduct:
+        for (int i = 0; i < kTilesPerEdge; ++i) {
+            for (int j = 0; j < n_tile_cols; ++j) {
+                for (int k = 0; k < kTilesPerEdge; ++k) {
+                    if (naiveMakeTask(a, b, i, j, k, n_cols, t))
+                        tasks.push_back(t);
+                }
+            }
+        }
+        break;
+      case TaskOrdering::RowRow:
+        for (int i = 0; i < kTilesPerEdge; ++i) {
+            for (int k = 0; k < kTilesPerEdge; ++k) {
+                for (int j = 0; j < n_tile_cols; ++j) {
+                    if (naiveMakeTask(a, b, i, j, k, n_cols, t))
+                        tasks.push_back(t);
+                }
+            }
+        }
+        break;
+    }
+    return tasks;
+}
+
+/** Random and structured A/B block pairs for the generator oracle. */
+std::vector<std::pair<BlockPattern, BlockPattern>>
+tmsOraclePairs()
+{
+    std::vector<std::pair<BlockPattern, BlockPattern>> pairs;
+    Rng rng(93);
+    for (int trial = 0; trial < 120; ++trial) {
+        const double da = 0.01 + 0.6 * rng.nextDouble();
+        const double db = 0.01 + 0.6 * rng.nextDouble();
+        pairs.emplace_back(BlockPattern::random(rng, da),
+                           BlockPattern::random(rng, db));
+    }
+    BlockPattern diag, band, tile_diag, corner;
+    for (int r = 0; r < kBlockSize; ++r) {
+        diag.set(r, r);
+        for (int c = std::max(0, r - 2);
+             c <= std::min(kBlockSize - 1, r + 2); ++c)
+            band.set(r, c);
+        // Only the diagonal tiles are live.
+        tile_diag.set(r, (r / kTileSize) * kTileSize + r % 3);
+    }
+    corner.set(15, 15);
+    const BlockPattern structured[] = {BlockPattern{}, BlockPattern::dense(),
+                                       diag, band, tile_diag, corner};
+    for (const BlockPattern &a : structured) {
+        for (const BlockPattern &b : structured)
+            pairs.emplace_back(a, b);
+        pairs.emplace_back(a, vectorAsBlock(0xA5C3));
+        pairs.emplace_back(a, vectorAsBlock(0xFFFF));
+    }
+    return pairs;
+}
+
+TEST(TmsOracle, TaskCountsMatchPerTileDefinitions)
+{
+    for (const auto &[a, b] : tmsOraclePairs()) {
+        const PatternMeta am = computePatternMeta(a);
+        const PatternMeta bm = computePatternMeta(b);
+        for (int n_tile_cols : {1, kTilesPerEdge}) {
+            const int n_cols = n_tile_cols == 1 ? 1 : 4;
+            for (TaskOrdering ord :
+                 {TaskOrdering::OuterProduct, TaskOrdering::DotProduct,
+                  TaskOrdering::RowRow}) {
+                for (const TileTask &t :
+                     generateTileTasks(am, bm, n_tile_cols, ord)) {
+                    ASSERT_LT(t.j, n_tile_cols);
+                    EXPECT_EQ(t.aTile, am.tiles[t.i * kTilesPerEdge + t.k]);
+                    EXPECT_EQ(t.bTile, bm.tiles[t.k * kTilesPerEdge + t.j]);
+                    EXPECT_EQ(t.products,
+                              tileProductCount(t.aTile, t.bTile, n_cols));
+                    EXPECT_EQ(t.segments,
+                              tileSegmentCount(t.aTile, t.bTile, n_cols));
+                    int a_elems = -1;
+                    int b_elems = -1;
+                    activeOperands(t.aTile, t.bTile, n_cols, a_elems,
+                                   b_elems);
+                    EXPECT_EQ(t.aElems, a_elems);
+                    EXPECT_EQ(t.bElems, b_elems);
+                }
+            }
+        }
+    }
+}
+
+TEST(TmsOracle, TaskListsMatchNaiveEnumeration)
+{
+    const auto same = [](const TileTask &x, const TileTask &y) {
+        return x.i == y.i && x.j == y.j && x.k == y.k &&
+            x.aTile == y.aTile && x.bTile == y.bTile &&
+            x.products == y.products && x.segments == y.segments &&
+            x.aElems == y.aElems && x.bElems == y.bElems;
+    };
+    for (const auto &[a, b] : tmsOraclePairs()) {
+        const PatternMeta am = computePatternMeta(a);
+        const PatternMeta bm = computePatternMeta(b);
+        for (int n_tile_cols : {1, kTilesPerEdge}) {
+            for (TaskOrdering ord :
+                 {TaskOrdering::OuterProduct, TaskOrdering::DotProduct,
+                  TaskOrdering::RowRow}) {
+                for (bool adaptive : {true, false}) {
+                    const TileTaskList got = generateTileTasks(
+                        am, bm, n_tile_cols, ord, adaptive);
+                    const std::vector<TileTask> want = naiveTileTasks(
+                        am, bm, n_tile_cols, ord, adaptive);
+                    ASSERT_EQ(got.size(), want.size())
+                        << toString(ord) << " cols=" << n_tile_cols;
+                    for (std::size_t n = 0; n < want.size(); ++n) {
+                        EXPECT_TRUE(same(got[n], want[n]))
+                            << toString(ord) << " cols=" << n_tile_cols
+                            << " adaptive=" << adaptive << " task " << n;
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(Dpg, PaperFig9TaskCodeExample)
@@ -289,6 +473,157 @@ TEST(Sdpu, FullTaskOccupiesWholeCycle)
     ASSERT_EQ(cycles.size(), 2u);
     EXPECT_EQ(cycles[0].products(), 64);
     EXPECT_EQ(cycles[1].products(), 64);
+}
+
+// ---------------------------------------------------------------------
+// Oracle for the bitmask SDPU packer: the packing loop as first
+// written, which kept the pending tasks in a pointer vector and
+// rebuilt it every cycle.
+// ---------------------------------------------------------------------
+
+struct CycleRecord
+{
+    std::vector<int> executed; ///< Task indices, in execution order.
+    int waitingDpgs = 0;
+    bool hadConflict = false;
+    int totalProducts = 0;
+
+    bool
+    operator==(const CycleRecord &o) const
+    {
+        return executed == o.executed && waitingDpgs == o.waitingDpgs &&
+            hadConflict == o.hadConflict &&
+            totalProducts == o.totalProducts;
+    }
+};
+
+std::vector<CycleRecord>
+referenceSdpuCycles(const std::vector<TileTask> &tasks, int num_dpgs,
+                    int mac_count, bool check_conflicts)
+{
+    std::vector<CycleRecord> out;
+    std::vector<const TileTask *> pending;
+    for (const TileTask &t : tasks)
+        pending.push_back(&t);
+    std::vector<const TileTask *> next;
+    while (!pending.empty()) {
+        next.clear();
+        CycleRecord cycle;
+        int used_slots = 0;
+        int used_dpgs = 0;
+        std::uint16_t c_tiles = 0;
+        bool stop_scan = false;
+        for (const TileTask *task : pending) {
+            if (stop_scan || used_dpgs == num_dpgs) {
+                next.push_back(task);
+                continue;
+            }
+            if (check_conflicts && testBit(c_tiles, task->cTileId())) {
+                ++used_dpgs;
+                ++cycle.waitingDpgs;
+                cycle.hadConflict = true;
+                next.push_back(task);
+                continue;
+            }
+            if (used_slots + task->products > mac_count) {
+                next.push_back(task);
+                stop_scan = true;
+                continue;
+            }
+            used_slots += task->products;
+            ++used_dpgs;
+            c_tiles = setBit(c_tiles, task->cTileId());
+            cycle.executed.push_back(
+                static_cast<int>(task - tasks.data()));
+        }
+        cycle.totalProducts = used_slots;
+        out.push_back(cycle);
+        std::swap(pending, next);
+    }
+    return out;
+}
+
+std::vector<CycleRecord>
+packedCycles(const std::vector<TileTask> &tasks, int num_dpgs,
+             int mac_count, bool check_conflicts)
+{
+    std::vector<CycleRecord> out;
+    forEachSdpuCycle(tasks, num_dpgs, mac_count, check_conflicts,
+                     [&](const SdpuCycleView &view) {
+                         CycleRecord cycle;
+                         for (const TileTask *t : view.executed)
+                             cycle.executed.push_back(
+                                 static_cast<int>(t - tasks.data()));
+                         cycle.waitingDpgs = view.waitingDpgs;
+                         cycle.hadConflict = view.hadConflict;
+                         cycle.totalProducts = view.totalProducts;
+                         out.push_back(cycle);
+                     });
+    return out;
+}
+
+std::vector<TileTask>
+randomTileTasks(Rng &rng, int n, int mac)
+{
+    std::vector<TileTask> tasks(static_cast<std::size_t>(n));
+    for (TileTask &t : tasks) {
+        t.i = static_cast<std::int8_t>(rng.nextInRange(0, 3));
+        t.j = static_cast<std::int8_t>(rng.nextInRange(0, 3));
+        t.k = static_cast<std::int8_t>(rng.nextInRange(0, 3));
+        t.products = static_cast<int>(rng.nextInRange(1, mac));
+        t.segments = 1;
+    }
+    return tasks;
+}
+
+TEST(SdpuOracle, PackingMatchesPointerVectorReference)
+{
+    Rng rng(94);
+    for (int trial = 0; trial < 150; ++trial) {
+        // Lengths 1..64, with both ends hit every few trials.
+        const int n = trial % 10 == 0 ? 64
+            : trial % 10 == 1         ? 1
+                                      : static_cast<int>(
+                                    rng.nextInRange(1, 64));
+        for (int mac : {16, 32, 64}) {
+            const auto tasks = randomTileTasks(rng, n, mac);
+            for (int dpgs : {1, 4, 8, 16}) {
+                for (bool conflicts : {true, false}) {
+                    EXPECT_TRUE(packedCycles(tasks, dpgs, mac, conflicts) ==
+                                referenceSdpuCycles(tasks, dpgs, mac,
+                                                    conflicts))
+                        << "trial " << trial << " n=" << n << " mac=" << mac
+                        << " dpgs=" << dpgs << " conflicts=" << conflicts;
+                }
+            }
+        }
+    }
+}
+
+TEST(SdpuOracle, GeneratedStreamsMatchReference)
+{
+    // TMS-ordered streams: the packer's real input shape.
+    Rng rng(95);
+    for (int trial = 0; trial < 60; ++trial) {
+        const BlockPattern a = BlockPattern::random(rng, 0.4);
+        const BlockPattern b = BlockPattern::random(rng, 0.4);
+        const auto tasks =
+            generateTileTasks(a, b, 4, TaskOrdering::OuterProduct);
+        for (int dpgs : {1, 4, 8, 16}) {
+            EXPECT_TRUE(packedCycles(tasks, dpgs, 64, true) ==
+                        referenceSdpuCycles(tasks, dpgs, 64, true))
+                << "trial " << trial << " dpgs=" << dpgs;
+        }
+    }
+}
+
+TEST(SdpuDeath, RejectsMoreThan64Tasks)
+{
+    Rng rng(96);
+    const auto tasks = randomTileTasks(rng, 65, 64);
+    EXPECT_DEATH(forEachSdpuCycle(tasks, 8, 64, true,
+                                  [](const SdpuCycleView &) {}),
+                 "at most 64 T3 tasks");
 }
 
 TEST(OrderingStudy, OuterProductBeatsAlternativesOnReuse)
