@@ -8,8 +8,6 @@
  * all four orders over random tiles at several densities.
  */
 
-#include <cstdio>
-
 #include <algorithm>
 
 #include "bench_common.hh"
@@ -62,8 +60,8 @@ main(int, char **)
         }
         t.addSeparator();
     }
-    t.print();
-    std::printf("\nPaper bounds under the Z order: A <= 5 adjacent "
-                "multipliers, B <= 9.\n");
+    driver::report(t.render());
+    driver::reportf("\nPaper bounds under the Z order: A <= 5 adjacent "
+                    "multipliers, B <= 9.\n");
     return 0;
 }

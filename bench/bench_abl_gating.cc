@@ -6,8 +6,6 @@
  * bench finalizes the same Uni-STC runs under both energy policies.
  */
 
-#include <cstdio>
-
 #include <algorithm>
 
 #include "bench_common.hh"
@@ -60,10 +58,10 @@ main(int, char **)
                       fmtRatio(saving), fmtRatio(path_saving)});
         }
     }
-    t.print();
-    std::printf("\nLargest observed saving: %.2fx total, %.2fx on "
-                "the gated datapaths (paper: up to 2.83x on the "
-                "gated paths).\n",
-                max_saving, max_path_saving);
+    driver::report(t.render());
+    driver::reportf("\nLargest observed saving: %.2fx total, %.2fx on "
+                    "the gated datapaths (paper: up to 2.83x on the "
+                    "gated paths).\n",
+                    max_saving, max_path_saving);
     return 0;
 }

@@ -7,8 +7,6 @@
  * pipeline, per kernel, on the representative matrices.
  */
 
-#include <cstdio>
-
 #include "bench_common.hh"
 #include "corpus/representative.hh"
 #include "isa/uwmma.hh"
@@ -56,9 +54,9 @@ main(int, char **)
                       fmtCount(async.instructions)});
         }
     }
-    t.print();
-    std::printf("\nGeomean speedup from hiding task generation: "
-                "%.2fx\n",
-                gain.value());
+    driver::report(t.render());
+    driver::reportf("\nGeomean speedup from hiding task generation: "
+                    "%.2fx\n",
+                    gain.value());
     return 0;
 }

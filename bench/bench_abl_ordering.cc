@@ -8,8 +8,6 @@
  * on the representative matrices (cycles and operand traffic).
  */
 
-#include <cstdio>
-
 #include "bench_common.hh"
 #include "corpus/representative.hh"
 #include "runner/spgemm_runner.hh"
@@ -63,13 +61,13 @@ main(int, char **)
         }
         t.addSeparator();
     }
-    t.print();
+    driver::report(t.render());
 
-    std::printf("\nCycle overhead of alternatives vs the default "
-                "(geomean):\n");
+    driver::reportf("\nCycle overhead of alternatives vs the default "
+                    "(geomean):\n");
     for (std::size_t v = 1; v < std::size(variants); ++v) {
-        std::printf("  %-26s %.3fx\n", variants[v].name,
-                    vs_default[v].value());
+        driver::reportf("  %-26s %.3fx\n", variants[v].name,
+                        vs_default[v].value());
     }
     return 0;
 }

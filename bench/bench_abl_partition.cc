@@ -7,8 +7,6 @@
  * and the resulting multi-warp SpMV completion time (max warp load).
  */
 
-#include <cstdio>
-
 #include "bench_common.hh"
 #include "corpus/representative.hh"
 #include "runner/partition.hh"
@@ -63,9 +61,9 @@ main(int, char **)
                   fmtRatio(by_blocks.imbalance()),
                   fmtRatio(speedup)});
     }
-    t.print();
-    std::printf("\nGeomean speedup of the balanced partition: "
-                "%.2fx\n",
-                gain.value());
+    driver::report(t.render());
+    driver::reportf("\nGeomean speedup of the balanced partition: "
+                    "%.2fx\n",
+                    gain.value());
     return 0;
 }

@@ -26,16 +26,20 @@
  *              to byte-identical output; --shard i runs one worker
  *              by hand (docs/SHARDING.md)
  *
+ * Bodies write their report text through driver::report()/reportf()
+ * (the execution context's sink), never to stdout directly: the sink
+ * drops the text on the passes below that must stay silent.
+ *
  * How --jobs works (docs/PARALLELISM.md): the bench body runs twice.
- * The *plan* pass runs with stdout silenced and the log level raised;
- * every runKernel() call records a JobSpec — model clone, shared BBC
- * operands, energy parameters — submits it to the thread pool (which
- * starts simulating immediately) and returns a sentinel RunResult.
- * After a barrier, the *replay* pass re-runs the body serially; each
- * runKernel() call now returns the precomputed result for its
- * submission index. Because replay is the serial program with the
- * deterministic per-job results spliced in, stdout, tables and the
- * UNISTC_BENCH_JSON dump are byte-identical to a --jobs 1 run.
+ * The *plan* pass runs with report text dropped and the log level
+ * raised; every runKernel() call records a JobSpec — model clone,
+ * shared BBC operands, energy parameters — submits it to the thread
+ * pool (which starts simulating immediately) and returns a sentinel
+ * RunResult. After a barrier, the *replay* pass re-runs the body
+ * serially; each runKernel() call now returns the precomputed result
+ * for its submission index. Because replay is the serial program with the
+ * deterministic per-job results spliced in, report text, tables and
+ * the UNISTC_BENCH_JSON dump are byte-identical to a --jobs 1 run.
  *
  * The contract this buys is narrow and checked: the *sequence* of
  * runKernel() calls must not depend on simulation results (values

@@ -70,13 +70,13 @@ main(int, char **)
                   fmtDouble(spmv_ms * 1000.0, 1) + " us",
                   fmtDouble(breakeven, 0)});
     }
-    t.print();
-    std::printf("\nPaper reference: conversion comparable to a few "
-                "hundred SpMV executions; eliminated entirely for "
-                "reused matrices by saving/reloading the BBC "
-                "image.\nNote: encode times here include this "
-                "simulator's bookkeeping and run on one CPU core; "
-                "the paper's 64-core figure is < 1000 ms for the "
-                "full-size collection.\n");
+    driver::report(t.render());
+    driver::reportf("\nPaper reference: conversion comparable to a few "
+                    "hundred SpMV executions; eliminated entirely for "
+                    "reused matrices by saving/reloading the BBC "
+                    "image.\nNote: encode times here include this "
+                    "simulator's bookkeeping and run on one CPU core; "
+                    "the paper's 64-core figure is < 1000 ms for the "
+                    "full-size collection.\n");
     return 0;
 }

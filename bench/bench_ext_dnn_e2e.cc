@@ -64,9 +64,9 @@ main(int argc, char **argv)
         }
         t.addSeparator();
     }
-    t.print();
-    std::printf("\nReading: pruning translates into end-to-end "
-                "latency nearly linearly on Uni-STC because block "
-                "tasks shrink with the actual nonzero count.\n");
+    driver::report(t.render());
+    driver::reportf("\nReading: pruning translates into end-to-end "
+                    "latency nearly linearly on Uni-STC because block "
+                    "tasks shrink with the actual nonzero count.\n");
     return 0;
 }

@@ -9,8 +9,6 @@
  * keeps utilisation nearly flat, i.e. throughput scales with width.
  */
 
-#include <cstdio>
-
 #include "bench_common.hh"
 #include "corpus/representative.hh"
 #include "runner/spgemm_runner.hh"
@@ -62,11 +60,11 @@ main(int, char **)
                   fmtRatio(speedup.value()),
                   fmtRatio(pt.macs / 64.0)});
     }
-    t.print();
-    std::printf("\nReading: throughput tracks the width ratio up to "
-                "128 MACs (the paper's FP32 point) and saturates at "
-                "256, where a single T1 task's 16 C tiles cap the "
-                "conflict-free tasks per cycle — wider SDPUs would "
-                "need cross-T1 batching.\n");
+    driver::report(t.render());
+    driver::reportf("\nReading: throughput tracks the width ratio up "
+                    "to 128 MACs (the paper's FP32 point) and "
+                    "saturates at 256, where a single T1 task's 16 C "
+                    "tiles cap the conflict-free tasks per cycle — "
+                    "wider SDPUs would need cross-T1 batching.\n");
     return 0;
 }

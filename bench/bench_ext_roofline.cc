@@ -67,10 +67,10 @@ main(int, char **)
         }
         t.addSeparator();
     }
-    t.print();
-    std::printf("\nReading: SpGEMM and dense-B SpMM stay compute-"
-                "bound at device scale; SpMV/SpMSpV become DRAM-"
-                "bound beyond a few units — their figures compare "
-                "STC compute capability, as in the paper.\n");
+    driver::report(t.render());
+    driver::reportf("\nReading: SpGEMM and dense-B SpMM stay compute-"
+                    "bound at device scale; SpMV/SpMSpV become DRAM-"
+                    "bound beyond a few units — their figures compare "
+                    "STC compute capability, as in the paper.\n");
     return 0;
 }

@@ -8,8 +8,6 @@
  * (beyond 4 units, warp-side load issue limits utilisation).
  */
 
-#include <cstdio>
-
 #include "bench_common.hh"
 #include "corpus/representative.hh"
 #include "sm/sm_model.hh"
@@ -43,7 +41,7 @@ main(int, char **)
         }
         t.addSeparator();
     }
-    t.print();
+    driver::report(t.render());
 
     // Warp-count sensitivity on one matrix.
     const BbcMatrix bbc =
@@ -56,6 +54,6 @@ main(int, char **)
         w.addRow({std::to_string(warps), fmtCount(s.makespanCycles),
                   fmtPercent(s.unitUtilisation(4))});
     }
-    w.print();
+    driver::report(w.render());
     return 0;
 }

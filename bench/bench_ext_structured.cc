@@ -10,8 +10,6 @@
  * answer at all.
  */
 
-#include <cstdio>
-
 #include "bench_common.hh"
 #include "corpus/dlmc.hh"
 #include "runner/spmm_runner.hh"
@@ -59,10 +57,10 @@ main(int, char **)
         }
         t.addSeparator();
     }
-    t.print();
-    std::printf("\nReading: the 2:4 core doubles throughput only on "
-                "its blessed pattern and degenerates to dense "
-                "everywhere else; Uni-STC tracks the actual "
-                "sparsity on every workload.\n");
+    driver::report(t.render());
+    driver::reportf("\nReading: the 2:4 core doubles throughput only "
+                    "on its blessed pattern and degenerates to dense "
+                    "everywhere else; Uni-STC tracks the actual "
+                    "sparsity on every workload.\n");
     return 0;
 }

@@ -8,8 +8,6 @@
  * Uni-STC).
  */
 
-#include <cstdio>
-
 #include "bench_common.hh"
 #include "corpus/representative.hh"
 
@@ -53,19 +51,19 @@ main(int, char **)
         }
         t.addSeparator();
     }
-    t.print();
+    driver::report(t.render());
 
-    std::printf("\nAggregate over the eight matrices:\n");
+    driver::reportf("\nAggregate over the eight matrices:\n");
     for (std::size_t mi = 0; mi < models.size(); ++mi) {
         const double below25 = agg[mi].bucketFraction(0);
         const double below50 = below25 + agg[mi].bucketFraction(1);
-        std::printf("  %-8s cycles <25%%: %6.2f%%   cycles <50%%: "
-                    "%6.2f%%\n",
-                    models[mi].c_str(), below25 * 100.0,
-                    below50 * 100.0);
+        driver::reportf("  %-8s cycles <25%%: %6.2f%%   cycles <50%%: "
+                        "%6.2f%%\n",
+                        models[mi].c_str(), below25 * 100.0,
+                        below50 * 100.0);
     }
-    std::printf("\nPaper reference: NV-DTC 84.34%% of cycles <25%%; "
-                "DS-STC 61.68%% and RM-STC 62.78%% <50%%; Uni-STC "
-                "15.82%% <50%%.\n");
+    driver::reportf("\nPaper reference: NV-DTC 84.34%% of cycles "
+                    "<25%%; DS-STC 61.68%% and RM-STC 62.78%% <50%%; "
+                    "Uni-STC 15.82%% <50%%.\n");
     return 0;
 }

@@ -8,8 +8,6 @@
  * dominate, motivating Uni-STC's default (§IV-A-1 ②).
  */
 
-#include <cstdio>
-
 #include "bench_common.hh"
 #include "unistc/tms.hh"
 
@@ -62,9 +60,9 @@ main(int, char **)
         }
         t.addSeparator();
     }
-    t.print();
-    std::printf("\nPaper reference: outer-product order reaches "
-                "4.54 avg parallel tasks, 47.38%% peak reuse and a "
-                "6.2%% peak write-conflict rate.\n");
+    driver::report(t.render());
+    driver::reportf("\nPaper reference: outer-product order reaches "
+                    "4.54 avg parallel tasks, 47.38%% peak reuse and a "
+                    "6.2%% peak write-conflict rate.\n");
     return 0;
 }

@@ -8,8 +8,6 @@
  * the same ordering.
  */
 
-#include <cstdio>
-
 #include "bench_common.hh"
 
 using namespace unistc;
@@ -42,9 +40,9 @@ main(int, char **)
     }
 
     const BlockTask task = BlockTask::mm(a, b);
-    std::printf("Case-study task: nnz(A)=%d nnz(B)=%d "
-                "intermediate products=%d\n\n",
-                a.nnz(), b.nnz(), blockProductCount(a, b));
+    driver::reportf("Case-study task: nnz(A)=%d nnz(B)=%d "
+                    "intermediate products=%d\n\n",
+                    a.nnz(), b.nnz(), blockProductCount(a, b));
 
     TextTable t("Fig. 14: one T1 task on the three STCs (64 MACs)");
     t.setHeader({"STC", "cycles", "products", "MAC utilisation",
@@ -64,12 +62,12 @@ main(int, char **)
         t.addRow({name, fmtCount(r.cycles), fmtCount(r.products),
                   fmtPercent(util), fmtCount(r.traffic.writesC)});
     }
-    t.print();
+    driver::report(t.render());
 
-    std::printf("\nPaper reference (downsized example): Uni-STC 75%%"
-                " vs RM-STC 50%% vs DS-STC 37.5%%.\n");
-    std::printf("Ordering reproduced: Uni > RM: %s, Uni > DS: %s\n",
-                uni_util > rm_util ? "yes" : "NO",
-                uni_util > ds_util ? "yes" : "NO");
+    driver::reportf("\nPaper reference (downsized example): Uni-STC "
+                    "75%% vs RM-STC 50%% vs DS-STC 37.5%%.\n");
+    driver::reportf("Ordering reproduced: Uni > RM: %s, Uni > DS: %s\n",
+                    uni_util > rm_util ? "yes" : "NO",
+                    uni_util > ds_util ? "yes" : "NO");
     return 0;
 }

@@ -106,14 +106,14 @@ main(int argc, char **argv)
                   fmtRatio(s16 / n), fmtRatio(sb / n),
                   fmtRatio(tb / n)});
     }
-    t.print();
+    driver::report(t.render());
 
-    std::printf("\nBBC has the least overhead for %d of %zu "
-                "matrices; best overhead reduction over CSR: "
-                "%.2fx.\n",
-                bbc_wins, points.size(), best_bbc);
-    std::printf("Paper reference: BBC wins for NnzPB > 3.57 (2585 of "
-                "3195 matrices), peak saving 15.26x; BSR typically "
-                "exceeds CSR storage.\n");
+    driver::reportf("\nBBC has the least overhead for %d of %zu "
+                    "matrices; best overhead reduction over CSR: "
+                    "%.2fx.\n",
+                    bbc_wins, points.size(), best_bbc);
+    driver::reportf("Paper reference: BBC wins for NnzPB > 3.57 (2585 "
+                    "of 3195 matrices), peak saving 15.26x; BSR "
+                    "typically exceeds CSR storage.\n");
     return 0;
 }

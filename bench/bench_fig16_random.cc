@@ -12,8 +12,6 @@
  * DS-STC (0.67x) should reproduce as the same ranking.
  */
 
-#include <cstdio>
-
 #include "bench_common.hh"
 #include "corpus/generators.hh"
 #include "runner/spgemm_runner.hh"
@@ -71,17 +69,17 @@ main(int argc, char **argv)
             }
         }
     }
-    t.print();
+    driver::report(t.render());
 
-    std::printf("\nGeomean Uni-STC speedup over each baseline "
-                "(sweep above):\n");
+    driver::reportf("\nGeomean Uni-STC speedup over each baseline "
+                    "(sweep above):\n");
     for (std::size_t i = 0; i + 1 < names.size(); ++i) {
-        std::printf("  vs %-10s %.2fx\n", names[i].c_str(),
-                    uni_speedup[i].value());
+        driver::reportf("  vs %-10s %.2fx\n", names[i].c_str(),
+                        uni_speedup[i].value());
     }
-    std::printf("Paper reference: 1.67x GAMMA, 1.73x SIGMA, 1.13x "
-                "Trapezoid, 2.89x NV-DTC, 1.89x DS-STC, 1.39x "
-                "RM-STC.\n\n");
+    driver::reportf("Paper reference: 1.67x GAMMA, 1.73x SIGMA, 1.13x "
+                    "Trapezoid, 2.89x NV-DTC, 1.89x DS-STC, 1.39x "
+                    "RM-STC.\n\n");
 
     // Dense-workload energy, normalised to NV-DTC (§VI-C-1).
     const int dn = quick ? 128 : 256;
@@ -107,8 +105,8 @@ main(int argc, char **argv)
         e.addRow({dense_names[i], fmtPercent(r.utilisation(), 1),
                   fmtRatio(nv_energy / r.energy.total())});
     }
-    e.print();
-    std::printf("Paper reference: Uni-STC 0.94x, RM-STC 0.83x, "
-                "DS-STC 0.67x of NV-DTC's dense energy.\n");
+    driver::report(e.render());
+    driver::reportf("Paper reference: Uni-STC 0.94x, RM-STC 0.83x, "
+                    "DS-STC 0.67x of NV-DTC's dense energy.\n");
     return 0;
 }

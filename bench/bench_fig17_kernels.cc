@@ -7,8 +7,6 @@
  * weights (128 MAC@FP32).
  */
 
-#include <cstdio>
-
 #include "apps/dnn/dnn_driver.hh"
 #include "bench_common.hh"
 #include "corpus/representative.hh"
@@ -57,8 +55,8 @@ printKernelSection(Kernel kernel,
               fmtRatio(uni_roll.speedup.value()),
               fmtRatio(uni_roll.energyReduction.value()),
               fmtRatio(uni_roll.energyEfficiency.value())});
-    t.print();
-    std::printf("\n");
+    driver::report(t.render());
+    driver::reportf("\n");
 }
 
 void
@@ -100,8 +98,8 @@ printDnnSection(const std::string &model_name,
               fmtRatio(rm_roll.energyEfficiency.value()),
               fmtRatio(uni_roll.speedup.value()),
               fmtRatio(uni_roll.energyEfficiency.value())});
-    t.print();
-    std::printf("\n");
+    driver::report(t.render());
+    driver::reportf("\n");
 }
 
 } // namespace
@@ -125,8 +123,8 @@ main(int, char **)
     printDnnSection("Transformer", transformerLayers(), 0.98,
                     ActivationMode::Dense);
 
-    std::printf("Paper reference (geomeans over the set): SpMV "
-                "5.21x/2.74x, SpMSpV 5.25x/5.50x speedup over "
-                "DS/RM; DNN speedup 1.43x over RM-STC.\n");
+    driver::reportf("Paper reference (geomeans over the set): SpMV "
+                    "5.21x/2.74x, SpMSpV 5.25x/5.50x speedup over "
+                    "DS/RM; DNN speedup 1.43x over RM-STC.\n");
     return 0;
 }

@@ -7,8 +7,6 @@
  * internal operations end up balanced.
  */
 
-#include <cstdio>
-
 #include "bench_common.hh"
 #include "corpus/representative.hh"
 
@@ -59,17 +57,17 @@ main(int, char **)
         }
         t.addSeparator();
     }
-    t.print();
+    driver::report(t.render());
 
-    std::printf("\nAggregate over the eight matrices:\n");
-    std::printf("  write-C energy reduction, Uni-STC vs DS-STC: "
-                "%.2fx (paper: ~6.5x)\n",
-                ds_writec / uni_writec);
-    std::printf("  total energy: DS %.3g  RM %.3g  Uni %.3g pJ "
-                "(Uni-STC lowest: %s)\n",
-                ds_total, rm_total, uni_total,
-                (uni_total < ds_total && uni_total < rm_total)
-                    ? "yes"
-                    : "NO");
+    driver::reportf("\nAggregate over the eight matrices:\n");
+    driver::reportf("  write-C energy reduction, Uni-STC vs DS-STC: "
+                    "%.2fx (paper: ~6.5x)\n",
+                    ds_writec / uni_writec);
+    driver::reportf("  total energy: DS %.3g  RM %.3g  Uni %.3g pJ "
+                    "(Uni-STC lowest: %s)\n",
+                    ds_total, rm_total, uni_total,
+                    (uni_total < ds_total && uni_total < rm_total)
+                        ? "yes"
+                        : "NO");
     return 0;
 }

@@ -7,8 +7,6 @@
  * 2.36x smaller dynamic network scale.
  */
 
-#include <cstdio>
-
 #include "bench_common.hh"
 #include "corpus/representative.hh"
 
@@ -59,9 +57,9 @@ main(int, char **)
         }
         t.addSeparator();
     }
-    t.print();
-    std::printf("\nC-write traffic reduction, Uni-STC vs DS-STC: "
-                "%.2fx (paper: 2.75x from SDPU pre-merging).\n",
-                ds_traffic / uni_traffic);
+    driver::report(t.render());
+    driver::reportf("\nC-write traffic reduction, Uni-STC vs DS-STC: "
+                    "%.2fx (paper: 2.75x from SDPU pre-merging).\n",
+                    ds_traffic / uni_traffic);
     return 0;
 }

@@ -79,8 +79,8 @@ main(int argc, char **argv)
                       fmtRatio(bucket.uni_p.value()),
                       fmtRatio(bucket.uni_ep.value())});
         }
-        t.print();
-        std::printf("\n");
+        driver::report(t.render());
+        driver::reportf("\n");
     }
     return 0;
 }

@@ -13,8 +13,6 @@
  * on SpGEMM.
  */
 
-#include <cstdio>
-
 #include "apps/amg/amg.hh"
 #include "apps/amg/amg_driver.hh"
 #include "bench_common.hh"
@@ -49,11 +47,11 @@ main(int argc, char **argv)
         std::vector<double> b(a.rows(), 1.0);
         std::vector<double> x(a.rows(), 0.0);
         const AmgSolveStats stats = h.solve(x, b, 1e-8, 60);
-        std::printf("Poisson %dx%d: %d levels, converged=%s in %d "
-                    "V-cycles (residual %.2e)\n",
-                    grid, grid, h.numLevels(),
-                    stats.converged ? "yes" : "no", stats.iterations,
-                    stats.finalResidual);
+        driver::reportf("Poisson %dx%d: %d levels, converged=%s in %d "
+                        "V-cycles (residual %.2e)\n",
+                        grid, grid, h.numLevels(),
+                        stats.converged ? "yes" : "no",
+                        stats.iterations, stats.finalResidual);
         cases.push_back({"Poisson grid", std::move(h),
                          stats.iterations});
     }
@@ -61,9 +59,9 @@ main(int argc, char **argv)
         const CsrMatrix a = genGraphLaplacian(graph_n, 10.0, 2.1,
                                               2121);
         AmgHierarchy h(a);
-        std::printf("Graph Laplacian n=%d: %d levels (fixed 30 "
-                    "V-cycles for workload accounting)\n\n",
-                    graph_n, h.numLevels());
+        driver::reportf("Graph Laplacian n=%d: %d levels (fixed 30 "
+                        "V-cycles for workload accounting)\n\n",
+                        graph_n, h.numLevels());
         cases.push_back({"unstructured graph", std::move(h), 30});
     }
 
@@ -99,11 +97,12 @@ main(int argc, char **argv)
                           static_cast<double>(wd.spgemm.cycles) /
                           static_cast<double>(w.spgemm.cycles))});
         }
-        t.print();
-        std::printf("\n");
+        driver::report(t.render());
+        driver::reportf("\n");
     }
 
-    std::printf("Paper reference: Uni-STC 4.84x SpMV / 2.46x SpGEMM;"
-                " Trapezoid 4.15x SpMV but only 1.06x SpGEMM.\n");
+    driver::reportf("Paper reference: Uni-STC 4.84x SpMV / 2.46x "
+                    "SpGEMM; Trapezoid 4.15x SpMV but only 1.06x "
+                    "SpGEMM.\n");
     return 0;
 }

@@ -8,8 +8,6 @@
  * and close to DPG=16) — making 8 DPGs the balanced default.
  */
 
-#include <cstdio>
-
 #include <map>
 
 #include "bench_common.hh"
@@ -76,15 +74,15 @@ main(int, char **)
         }
         t.addRow(row);
     }
-    t.print();
+    driver::report(t.render());
 
-    std::printf("\nDPG sensitivity (Uni-STC(8) / Uni-STC(4)):\n");
+    driver::reportf("\nDPG sensitivity (Uni-STC(8) / Uni-STC(4)):\n");
     for (const auto &[kernel, by_dpg] : uni_eed) {
-        std::printf("  %-7s %.2fx\n", kernel.c_str(),
-                    by_dpg.at(8) / by_dpg.at(4));
+        driver::reportf("  %-7s %.2fx\n", kernel.c_str(),
+                        by_dpg.at(8) / by_dpg.at(4));
     }
-    std::printf("Paper reference: SpMM/SpGEMM EED grows ~1.37x from "
-                "4 to 8 DPGs and saturates toward 16; SpMV/SpMSpV "
-                "shrinks slightly (~1.1x).\n");
+    driver::reportf("Paper reference: SpMM/SpGEMM EED grows ~1.37x "
+                    "from 4 to 8 DPGs and saturates toward 16; "
+                    "SpMV/SpMSpV shrinks slightly (~1.1x).\n");
     return 0;
 }

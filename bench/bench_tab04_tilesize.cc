@@ -97,9 +97,9 @@ main(int, char **)
                   row.cycles, row.dpgs, row.tile_net, row.nz_net,
                   measured});
     }
-    t.print();
-    std::printf("\n4x4x4 balances DPG count against routing scale "
-                "and single-cycle timing — the Uni-STC design "
-                "point.\n");
+    driver::report(t.render());
+    driver::reportf("\n4x4x4 balances DPG count against routing scale "
+                    "and single-cycle timing — the Uni-STC design "
+                    "point.\n");
     return 0;
 }

@@ -4,8 +4,6 @@
  * configurations (128@FP32 / 64@FP64).
  */
 
-#include <cstdio>
-
 #include "bench_common.hh"
 
 using namespace unistc;
@@ -27,17 +25,18 @@ main(int, char **)
     t.addRow({"RM-STC", "16x4x2", "8x4x2", "= T3"});
     t.addRow({"Uni-STC (this work)", "4x4x4 (x2 tasks)", "4x4x4",
               "1x1x4"});
-    t.print();
+    driver::report(t.render());
 
-    std::printf("\nModels instantiated from the registry:\n");
+    driver::reportf("\nModels instantiated from the registry:\n");
     for (const auto &name : allModelNames()) {
         const auto m = makeStcModel(name, MachineConfig::fp64());
         const NetworkConfig net = m->network();
-        std::printf("  %-10s A/B/C network energy factors: "
-                    "%.2f / %.2f / %.2f%s\n",
-                    m->name().c_str(), net.aFactor, net.bFactor,
-                    net.cFactor,
-                    net.dynamicGating ? "  (DPG power gating)" : "");
+        driver::reportf("  %-10s A/B/C network energy factors: "
+                        "%.2f / %.2f / %.2f%s\n",
+                        m->name().c_str(), net.aFactor, net.bFactor,
+                        net.cFactor,
+                        net.dynamicGating ? "  (DPG power gating)"
+                                          : "");
     }
     return 0;
 }

@@ -12,8 +12,6 @@
  * wall-clock fields, so its JSON is not byte-stable across runs).
  */
 
-#include <cstdio>
-
 #include "bench_common.hh"
 #include "corpus/representative.hh"
 #include "kernels/reference.hh"
@@ -50,10 +48,10 @@ main(int, char **)
         t.addRow({nm.name, fmtCount(a.rows()), fmtCount(a.nnz()),
                   fmtCount(c.nnz()), fmtDouble(inter, 1)});
     }
-    t.print();
-    std::printf("\nPaper reference (full-size originals): "
-                "inter-prod/blk rises from 164.9 (consph) to 1154.1 "
-                "(gupta3).\n");
+    driver::report(t.render());
+    driver::reportf("\nPaper reference (full-size originals): "
+                    "inter-prod/blk rises from 164.9 (consph) to "
+                    "1154.1 (gupta3).\n");
 
     // Engine timing evidence: one SpGEMM task stream per matrix
     // fans out to the three core models in a single pass. The
@@ -89,12 +87,12 @@ main(int, char **)
                       ? fmtPercent(counters.enumerateSeconds / total)
                       : "-"});
     }
-    std::printf("\n");
-    e.print();
-    std::printf("\nEnumeration happens once per (kernel, matrix) no "
-                "matter how many models consume the stream: total "
-                "enum %.3f ms vs model %.3f ms for the 3-model "
-                "lineup above.\n",
-                enum_total * 1e3, model_total * 1e3);
+    driver::reportf("\n");
+    driver::report(e.render());
+    driver::reportf("\nEnumeration happens once per (kernel, matrix) "
+                    "no matter how many models consume the stream: "
+                    "total enum %.3f ms vs model %.3f ms for the "
+                    "3-model lineup above.\n",
+                    enum_total * 1e3, model_total * 1e3);
     return 0;
 }

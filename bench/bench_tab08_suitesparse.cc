@@ -7,8 +7,6 @@
  * efficiency over DS-STC / RM-STC.
  */
 
-#include <cstdio>
-
 #include "bench_common.hh"
 #include "corpus/representative.hh"
 #include "corpus/suite.hh"
@@ -74,14 +72,14 @@ main(int argc, char **argv)
         emit("RM-STC", vs_rm);
         t.addSeparator();
     }
-    t.print();
+    driver::report(t.render());
 
-    std::printf("\nOverall geomean (all kernels): speedup %.2fx vs "
-                "DS-STC, %.2fx vs RM-STC; energy efficiency %.2fx "
-                "vs DS-STC, %.2fx vs RM-STC.\n",
-                overall_ds_p.value(), overall_rm_p.value(),
-                overall_ds_ep.value(), overall_rm_ep.value());
-    std::printf("Paper reference: 3.35x / 2.21x speedup and 7.05x / "
-                "2.96x energy efficiency.\n");
+    driver::reportf("\nOverall geomean (all kernels): speedup %.2fx vs "
+                    "DS-STC, %.2fx vs RM-STC; energy efficiency %.2fx "
+                    "vs DS-STC, %.2fx vs RM-STC.\n",
+                    overall_ds_p.value(), overall_rm_p.value(),
+                    overall_ds_ep.value(), overall_rm_ep.value());
+    driver::reportf("Paper reference: 3.35x / 2.21x speedup and 7.05x "
+                    "/ 2.96x energy efficiency.\n");
     return 0;
 }

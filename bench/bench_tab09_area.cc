@@ -5,9 +5,8 @@
  * sweep the EED study (Fig. 22) divides by.
  */
 
-#include <cstdio>
-
 #include "common/table.hh"
+#include "driver/execution_context.hh"
 #include "sim/area.hh"
 
 using namespace unistc;
@@ -25,10 +24,10 @@ main(int, char **)
         t.addRow({items[i].module, fmtDouble(items[i].mm2, 4),
                   fmtDouble(items[i].percent, 2)});
     }
-    t.print();
+    driver::report(t.render());
 
-    std::printf("\nPaper reference: total 0.0425 mm2 per unit, "
-                "2.12%% of the die for 432 units.\n\n");
+    driver::reportf("\nPaper reference: total 0.0425 mm2 per unit, "
+                    "2.12%% of the die for 432 units.\n\n");
 
     TextTable sweep("Dedicated-module overhead vs DPG count "
                     "(EED denominator, Fig. 22)");
@@ -42,6 +41,6 @@ main(int, char **)
                       fmtDouble(AreaModel::uniStcOverheadMm2(dpgs),
                                 4)});
     }
-    sweep.print();
+    driver::report(sweep.render());
     return 0;
 }

@@ -57,6 +57,6 @@ main()
                   fmtEnergyPj(w.spmv.energy.total() +
                               w.spgemm.energy.total())});
     }
-    t.print();
+    std::fputs(t.render().c_str(), stdout);
     return 0;
 }

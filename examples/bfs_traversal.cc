@@ -55,6 +55,6 @@ main()
                   fmtPercent(total.utilisation()),
                   fmtEnergyPj(total.energy.total())});
     }
-    t.print();
+    std::fputs(t.render().c_str(), stdout);
     return 0;
 }

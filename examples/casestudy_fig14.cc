@@ -90,7 +90,7 @@ main()
         t.addRow({name, fmtCount(r.cycles),
                   fmtPercent(r.utilisation())});
     }
-    t.print();
+    std::fputs(t.render().c_str(), stdout);
     std::printf("\nPaper reference: 37.5%% (DS) / 50%% (RM) / 75%% "
                 "(Uni) on the downsized example.\n");
     return 0;

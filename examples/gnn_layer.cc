@@ -57,7 +57,7 @@ main()
                   fmtEnergyPj(spmm.energy.total() +
                               spgemm.energy.total())});
     }
-    t.print();
+    std::fputs(t.render().c_str(), stdout);
     std::printf("\nLayer-level Uni-STC speedup over DS-STC: %.2fx\n",
                 static_cast<double>(ds_total) / uni_total);
     return 0;

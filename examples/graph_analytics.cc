@@ -84,6 +84,6 @@ main()
                   fmtCount(pr_run.cycles + bfs_run.cycles +
                            tri_run.cycles)});
     }
-    t.print();
+    std::fputs(t.render().c_str(), stdout);
     return 0;
 }

@@ -58,7 +58,7 @@ main(int argc, char **argv)
               fmtRatio(csr / b16.storageBytes())});
     t.addRow({"BBC", fmtBytes(bbc.storageBytes()),
               fmtRatio(csr / bbc.storageBytes())});
-    t.print();
+    std::fputs(t.render().c_str(), stdout);
     std::printf("\nNnzPB %.2f; metadata %s; round-trip verified.\n",
                 bbc.nnzPerBlock(),
                 fmtBytes(bbc.metadataBytes()).c_str());

@@ -72,6 +72,6 @@ main()
                   fmtCount(pre.spmv.cycles),
                   fmtCount(cg_run.cycles + pre.spmv.cycles)});
     }
-    t.print();
+    std::fputs(t.render().c_str(), stdout);
     return 0;
 }

@@ -68,7 +68,7 @@ main(int argc, char **argv)
                   fmtDouble(r.timeNs(cfg.freqGhz) / 1000.0, 2) +
                       " us"});
     }
-    t.print();
+    std::fputs(t.render().c_str(), stdout);
 
     const auto uni = makeStcModel("Uni-STC", cfg);
     const RunResult r = runSpmv(*uni, bbc);

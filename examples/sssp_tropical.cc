@@ -54,6 +54,6 @@ main()
         t.addRow({name, fmtCount(r.cycles),
                   fmtEnergyPj(r.energy.total())});
     }
-    t.print();
+    std::fputs(t.render().c_str(), stdout);
     return 0;
 }

@@ -42,6 +42,6 @@ main()
                   fmtPercent(r.utilisation()),
                   fmtEnergyPj(r.energy.total())});
     }
-    t.print();
+    std::fputs(t.render().c_str(), stdout);
     return 0;
 }

@@ -209,7 +209,7 @@ cmdList(const WarehouseReader &reader, const Args &args)
         std::printf("no runs in '%s'\n", reader.dir().c_str());
         return 0;
     }
-    t.print();
+    std::fputs(t.render().c_str(), stdout);
     return 0;
 }
 
@@ -297,7 +297,7 @@ cmdRecovery(const WarehouseReader &reader, const Args &args)
                     reader.dir().c_str());
         return 0;
     }
-    t.print();
+    std::fputs(t.render().c_str(), stdout);
     return 0;
 }
 
@@ -315,7 +315,7 @@ cmdTrend(const WarehouseReader &reader, const Args &args)
                   std::to_string(p.pairs),
                   fmtRatio(p.geomeanSpeedup, 3)});
     }
-    t.print();
+    std::fputs(t.render().c_str(), stdout);
     return 0;
 }
 
@@ -334,7 +334,7 @@ cmdDrift(const WarehouseReader &reader, const Args &args)
                   fmtPercent(p.firstUtil), fmtPercent(p.lastUtil),
                   fmtPercent(p.lastUtil - p.firstUtil)});
     }
-    t.print();
+    std::fputs(t.render().c_str(), stdout);
     return 0;
 }
 
@@ -347,7 +347,7 @@ cmdCacheRate(const WarehouseReader &reader, const Args &args)
         t.addRow({p.runId, p.bench, fmtCount(p.hits),
                   fmtCount(p.misses), fmtPercent(p.hitRate)});
     }
-    t.print();
+    std::fputs(t.render().c_str(), stdout);
     return 0;
 }
 
@@ -369,7 +369,7 @@ cmdSlowest(const WarehouseReader &reader, const Args &args)
                   fmtCount(row.result.cycles),
                   fmtPercent(row.result.utilisation())});
     }
-    t.print();
+    std::fputs(t.render().c_str(), stdout);
     return 0;
 }
 

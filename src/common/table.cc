@@ -87,12 +87,6 @@ TextTable::render() const
     return os.str();
 }
 
-void
-TextTable::print() const
-{
-    std::fputs(render().c_str(), stdout);
-}
-
 std::string
 fmtDouble(double v, int digits)
 {

@@ -33,9 +33,6 @@ class TextTable
     /** Render to a string with aligned columns. */
     std::string render() const;
 
-    /** Render to stdout. */
-    void print() const;
-
   private:
     std::string title_;
     std::vector<std::string> header_;

@@ -4,14 +4,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define UNISTC_DRIVER_POSIX 1
-#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 #else
@@ -31,35 +29,6 @@ namespace unistc
 namespace driver
 {
 
-ScopedPlanQuiet::ScopedPlanQuiet() : savedLevel_(logLevel())
-{
-    if (savedLevel_ < LogLevel::Error)
-        setLogLevel(LogLevel::Error);
-#if UNISTC_DRIVER_POSIX
-    std::fflush(stdout);
-    std::cout.flush();
-    savedFd_ = ::dup(STDOUT_FILENO);
-    const int nul = ::open("/dev/null", O_WRONLY);
-    if (nul >= 0) {
-        ::dup2(nul, STDOUT_FILENO);
-        ::close(nul);
-    }
-#endif
-}
-
-ScopedPlanQuiet::~ScopedPlanQuiet()
-{
-#if UNISTC_DRIVER_POSIX
-    std::fflush(stdout);
-    std::cout.flush();
-    if (savedFd_ >= 0) {
-        ::dup2(savedFd_, STDOUT_FILENO);
-        ::close(savedFd_);
-    }
-#endif
-    setLogLevel(savedLevel_);
-}
-
 void
 logCacheSummary()
 {
@@ -74,6 +43,30 @@ logCacheSummary()
 
 namespace
 {
+
+/**
+ * Plan-pass log silence: raises the log level so a recording
+ * traversal of the body logs nothing below errors (fatal()/panic()
+ * still reach stderr); restores it on destruction. Report text is
+ * dropped by the context itself (reportingPass()).
+ */
+class ScopedPlanQuiet
+{
+  public:
+    ScopedPlanQuiet() : savedLevel_(logLevel())
+    {
+        if (savedLevel_ < LogLevel::Error)
+            setLogLevel(LogLevel::Error);
+    }
+
+    ~ScopedPlanQuiet() { setLogLevel(savedLevel_); }
+
+    ScopedPlanQuiet(const ScopedPlanQuiet &) = delete;
+    ScopedPlanQuiet &operator=(const ScopedPlanQuiet &) = delete;
+
+  private:
+    LogLevel savedLevel_;
+};
 
 /**
  * Cache flags override the UNISTC_CACHE_DIR / UNISTC_CACHE env
@@ -169,14 +162,6 @@ DriverSession::run(const SweepRequest &req, int argc, char **argv,
     }
 #endif
 
-#if !UNISTC_DRIVER_POSIX
-    if (req.jobs > 1)
-        UNISTC_WARN("--jobs needs POSIX fd redirection; running "
-                    "serially");
-    const int rc = body(argc, argv);
-    logCacheSummary();
-    return rc;
-#else
     // A plan/replay double traversal is needed for parallelism and
     // for per-job trace spans — a traced run uses it even at
     // --jobs 1 so the trace has the same structure for any N.
@@ -203,7 +188,6 @@ DriverSession::run(const SweepRequest &req, int argc, char **argv,
     ctx_.sweep().reset();
     logCacheSummary();
     return rc;
-#endif
 }
 
 #if UNISTC_DRIVER_POSIX

@@ -6,19 +6,21 @@
  * three possible shapes:
  *
  *   serial      body runs once, results simulate inline.
- *   --jobs      plan pass (stdout silenced, jobs fan out over a
- *               thread pool) → barrier → serial replay pass that
+ *   --jobs      plan pass (report text dropped, jobs fan out over
+ *               a thread pool) → barrier → serial replay pass that
  *               splices the precomputed results in
  *               (docs/PARALLELISM.md).
- *   --shards    worker children execute owned units into durable
- *               manifests under a crash supervisor; the final serve
- *               pass splices the merged manifests in
- *               (docs/SHARDING.md).
+ *   --shards    worker children (report text dropped) execute owned
+ *               units into durable manifests under a crash
+ *               supervisor; the final serve pass splices the merged
+ *               manifests in (docs/SHARDING.md).
  *
- * In every shape the reporting output — stdout, UNISTC_BENCH_JSON,
- * warehouse rows — is produced by exactly one serial traversal of
- * the body, so it is byte-identical across worker counts, shard
- * counts and resume state.
+ * Bodies write their report text through the context's sink
+ * (driver::report/reportf, execution_context.hh), never to stdout
+ * directly. In every shape the reporting output — report text,
+ * UNISTC_BENCH_JSON, warehouse rows — is produced by exactly one
+ * serial traversal of the body, so it is byte-identical across
+ * worker counts, shard counts and resume state.
  */
 
 #ifndef UNISTC_DRIVER_DRIVER_SESSION_HH
@@ -33,27 +35,6 @@ namespace unistc
 {
 namespace driver
 {
-
-/**
- * Scoped plan-pass silence: stdout redirected to /dev/null and the
- * log level raised, so a recording traversal of the body prints
- * nothing; fatal()/panic() still reach stderr. Restores both on
- * destruction. Exposed for tests; DriverSession applies it around
- * the plan pass and shard workers.
- */
-class ScopedPlanQuiet
-{
-  public:
-    ScopedPlanQuiet();
-    ~ScopedPlanQuiet();
-
-    ScopedPlanQuiet(const ScopedPlanQuiet &) = delete;
-    ScopedPlanQuiet &operator=(const ScopedPlanQuiet &) = delete;
-
-  private:
-    LogLevel savedLevel_;
-    int savedFd_ = -1;
-};
 
 /**
  * One-line cache summary on stderr after a cached run (stdout stays

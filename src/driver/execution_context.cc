@@ -1,5 +1,8 @@
 #include "driver/execution_context.hh"
 
+#include <cstdarg>
+#include <cstdio>
+
 namespace unistc
 {
 namespace driver
@@ -46,6 +49,17 @@ ExecutionContext::active()
     return ctx != nullptr ? *ctx : global();
 }
 
+void
+ExecutionContext::report(std::string_view text)
+{
+    if (!reportingPass_)
+        return;
+    if (capture_ != nullptr)
+        capture_->append(text);
+    else
+        std::fwrite(text.data(), 1, text.size(), stdout);
+}
+
 const TraceSink *
 ExecutionContext::runTrace() const
 {
@@ -73,6 +87,27 @@ ExecutionContext::beginRun()
     supervisorTrace_ = nullptr;
     shardSummaryShards_ = 0;
     shardSummary_ = ShardRecoveryCounters();
+}
+
+void
+report(std::string_view text)
+{
+    ExecutionContext::active().report(text);
+}
+
+void
+reportf(const char *fmt, ...)
+{
+    std::va_list args;
+    va_start(args, fmt);
+    std::va_list sized;
+    va_copy(sized, args);
+    const int n = std::vsnprintf(nullptr, 0, fmt, sized);
+    va_end(sized);
+    std::string text(static_cast<std::size_t>(n > 0 ? n : 0), '\0');
+    std::vsnprintf(text.data(), text.size() + 1, fmt, args);
+    va_end(args);
+    report(text);
 }
 
 } // namespace driver

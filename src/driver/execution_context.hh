@@ -10,13 +10,16 @@
  * construct their own contexts and run several sweeps back to back
  * in one process without state leaking between them (beginRun()).
  *
- * runKernel()/runKernelLineup() route through active(): current()
- * when a DriverSession (or a test) installed one, the process
- * default otherwise.
+ * runKernel()/runKernelLineup() and the report()/reportf() sink
+ * route through active(): current() when a DriverSession (or a test)
+ * installed one, the process default otherwise.
  */
 
 #ifndef UNISTC_DRIVER_EXECUTION_CONTEXT_HH
 #define UNISTC_DRIVER_EXECUTION_CONTEXT_HH
+
+#include <string>
+#include <string_view>
 
 #include "driver/checkpoint_session.hh"
 #include "driver/result_log.hh"
@@ -67,13 +70,27 @@ class ExecutionContext
 
     /**
      * False while the body's output is being discarded — the --jobs
-     * plan pass and shard worker mode, where stdout goes to
-     * /dev/null and results are sentinels. Front-ends guard artifact
-     * writes (traces, stats JSON, saved BBC containers) on it so
-     * files are written exactly once, by the reporting run.
+     * plan pass and shard worker mode, where report() drops its text
+     * and results are sentinels. Front-ends guard artifact writes
+     * (traces, stats JSON, saved BBC containers) on it so files are
+     * written exactly once, by the reporting run.
      */
     bool reportingPass() const { return reportingPass_; }
     void setReportingPass(bool on) { reportingPass_ = on; }
+
+    /**
+     * The body's report sink: drops @p text on a non-reporting pass,
+     * appends it to the capture buffer when one is installed, and
+     * writes it to stdout otherwise.
+     */
+    void report(std::string_view text);
+
+    /**
+     * Route report text into @p buffer instead of stdout (null
+     * restores stdout). Kept across beginRun(), so it can be
+     * installed before a DriverSession starts (unistc_serve does).
+     */
+    void captureReport(std::string *buffer) { capture_ = buffer; }
 
     /**
      * The live sweep executor (null outside a --jobs run). Valid
@@ -134,10 +151,18 @@ class ExecutionContext
     ShardSession shard_;
     ResultLog results_;
     bool reportingPass_ = true;
+    std::string *capture_ = nullptr;
     const TraceSink *supervisorTrace_ = nullptr;
     int shardSummaryShards_ = 0;
     ShardRecoveryCounters shardSummary_;
 };
+
+/** Report @p text through the active context's sink. */
+void report(std::string_view text);
+
+/** printf-formatted report(). */
+void reportf(const char *fmt, ...)
+    __attribute__((format(printf, 1, 2)));
 
 } // namespace driver
 } // namespace unistc

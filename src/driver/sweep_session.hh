@@ -102,9 +102,9 @@ class SweepSession
      * bodies guard on `result.cycles == 0` before folding results
      * into rollups, and an all-skipped rollup panics (max() on empty
      * stat). Nonzero counters keep the plan pass on the same control
-     * path; every derived ratio is a neutral 1.0 and the output goes
-     * to /dev/null anyway. Shard workers reuse it for non-owned
-     * units, for the same reason.
+     * path; every derived ratio is a neutral 1.0 and the report text
+     * is dropped anyway. Shard workers reuse it for non-owned units,
+     * for the same reason.
      */
     static RunResult sentinel();
 

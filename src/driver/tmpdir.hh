@@ -3,7 +3,7 @@
  * Temporary-directory resolution for the execution driver: sandboxed
  * CI runners mount /tmp read-only and point $TMPDIR somewhere
  * writable, so every scratch path the driver creates (shard manifest
- * directories, the serve daemon's stdout capture files) must resolve
+ * directories; scratch files for tools and tests) must resolve
  * through the environment instead of hardcoding "/tmp".
  */
 

@@ -64,8 +64,8 @@ struct WireResponse
     int exitCode = 0;
 
     /**
-     * Captured stdout of the run — byte-identical to a one-shot
-     * simulate_cli execution of the same argv.
+     * The run's report text — byte-identical to the stdout of a
+     * one-shot simulate_cli execution of the same argv.
      */
     std::string output;
 

@@ -1,21 +1,9 @@
 #include "serve/serve_core.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <iostream>
-#include <sstream>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define UNISTC_SERVE_POSIX 1
-#include <unistd.h>
-#else
-#define UNISTC_SERVE_POSIX 0
-#endif
 
 #include "common/logging.hh"
 #include "driver/driver_session.hh"
-#include "driver/tmpdir.hh"
 #include "stc/registry.hh"
 #include "warehouse/sink.hh"
 
@@ -26,81 +14,6 @@ namespace serve
 
 namespace
 {
-
-/**
- * Redirect fd 1 into a fresh temp file for the duration, then hand
- * back everything the body printed. The simulation body addresses
- * stdout directly (printf), so capturing the fd — not a stream
- * rebind — is what makes the captured bytes identical to a one-shot
- * simulate_cli run piped to a file.
- */
-class StdoutCapture
-{
-  public:
-    StdoutCapture()
-    {
-#if UNISTC_SERVE_POSIX
-        std::fflush(stdout);
-        std::cout.flush();
-        int fd = -1;
-        Result<std::string> made =
-            driver::makeTempFile("unistc-serve-out-", &fd);
-        if (!made.ok()) {
-            error_ = made.status();
-            return;
-        }
-        path_ = made.value();
-        saved_ = ::dup(STDOUT_FILENO);
-        ::dup2(fd, STDOUT_FILENO);
-        ::close(fd);
-        active_ = true;
-#else
-        error_ = internalError("stdout capture needs a POSIX host");
-#endif
-    }
-
-    ~StdoutCapture()
-    {
-        if (active_)
-            finish();
-    }
-
-    StdoutCapture(const StdoutCapture &) = delete;
-    StdoutCapture &operator=(const StdoutCapture &) = delete;
-
-    /** False only when construction failed (stays true after
-     * finish(), unlike active_). */
-    bool ok() const { return error_.ok(); }
-    const Status &error() const { return error_; }
-
-    /** Restore stdout and return the captured bytes. */
-    std::string
-    finish()
-    {
-        if (!active_)
-            return std::string();
-#if UNISTC_SERVE_POSIX
-        std::fflush(stdout);
-        std::cout.flush();
-        ::dup2(saved_, STDOUT_FILENO);
-        ::close(saved_);
-        active_ = false;
-        std::ifstream in(path_, std::ios::binary);
-        std::ostringstream body;
-        body << in.rdbuf();
-        ::unlink(path_.c_str());
-        return body.str();
-#else
-        return std::string();
-#endif
-    }
-
-  private:
-    bool active_ = false;
-    int saved_ = -1;
-    std::string path_;
-    Status error_;
-};
 
 /** argv the parser and DriverSession see: the CLI binary's shape. */
 std::vector<std::string>
@@ -485,7 +398,10 @@ ServeCore::runJob(Job &job,
     warehouse::BenchSink::instance().beginManualRun(
         "unistc_serve", job.req.label, argvRec);
 
+    // The body reports into the response, not the daemon's stdout;
+    // a fatal mid-body still leaves its partial text there.
     driver::ExecutionContext ctx;
+    ctx.captureReport(&job.resp.output);
     const LogLevel savedLevel = logLevel();
 
     std::vector<char *> argv;
@@ -495,11 +411,10 @@ ServeCore::runJob(Job &job,
     const int argc = static_cast<int>(argv.size());
 
     Hooks hooks(*this, memo);
-    StdoutCapture capture;
     int rc = 0;
     std::string fatalMessage;
     bool fatal = false;
-    if (capture.ok()) {
+    {
         ScopedFatalThrow guard;
         try {
             driver::DriverSession session(ctx);
@@ -516,14 +431,9 @@ ServeCore::runJob(Job &job,
             fatalMessage = e.what();
         }
     }
-    job.resp.output = capture.finish();
     setLogLevel(savedLevel);
 
-    if (!capture.ok()) {
-        job.resp.status = "error";
-        job.resp.exitCode = 1;
-        job.resp.error = capture.error().message();
-    } else if (fatal) {
+    if (fatal) {
         job.resp.status = "error";
         job.resp.exitCode = 1;
         job.resp.error = fatalMessage;

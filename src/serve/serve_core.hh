@@ -3,9 +3,11 @@
  * ServeCore: the unistc_serve daemon's execution heart
  * (docs/SERVING.md). Connection threads submit decoded WireRequests
  * and block for the response; a single executor thread runs the
- * simulations — stdout capture via fd redirection is process-global
- * state, so execution is serialised by design and concurrency lives
- * in the socket layer plus the admission queue.
+ * simulations, each reporting into its response through its own
+ * ExecutionContext. Execution stays serialised because the installed
+ * ExecutionContext::current() slot, the log level and BenchSink's
+ * manual run are process-wide; concurrency lives in the socket layer
+ * plus the admission queue.
  *
  * What a "run" request gets:
  *
@@ -117,7 +119,8 @@ class ServeCore
         const std::vector<std::shared_ptr<Job>> &batch,
         std::map<std::string, RunResult> *memo);
 
-    /** Run one request's body, capture stdout, fill the response. */
+    /** Run one request's body, capture its report, fill the
+     * response. */
     void runJob(Job &job,
                 const std::map<std::string, RunResult> &memo);
 

@@ -232,9 +232,10 @@ ServeHooks::lookupResult(const std::string &, RunResult *)
 /**
  * The simulation body a DriverSession drives: with --jobs it runs
  * twice (silenced plan pass, then the reporting replay pass), under
- * --shards once per worker plus the supervisor's serve pass — so any
- * side effect beyond runKernel() calls and stdout must be guarded on
- * ExecutionContext::reportingPass().
+ * --shards once per worker plus the supervisor's serve pass. Report
+ * text goes through driver::report/reportf, which drop it on the
+ * silenced passes; any other side effect beyond runKernel() calls
+ * must be guarded on ExecutionContext::reportingPass().
  */
 int
 simulateBody(const Experiment &ex, ServeHooks *hooks)
@@ -261,19 +262,19 @@ simulateBody(const Experiment &ex, ServeHooks *hooks)
         prep.csr.cols())
         UNISTC_FATAL("spgemm (C = A^2) needs a square matrix");
 
-    std::printf("Matrix: %d x %d, %lld nonzeros\n", prep.csr.rows(),
-                prep.csr.cols(),
-                static_cast<long long>(prep.csr.nnz()));
-    std::printf("BBC: %lld blocks, NnzPB %.2f, %s\n\n",
-                static_cast<long long>(prep.bbc.numBlocks()),
-                prep.bbc.nnzPerBlock(),
-                fmtBytes(prep.bbc.storageBytes(
-                             ex.cfg.bytesPerValue())).c_str());
+    driver::reportf("Matrix: %d x %d, %lld nonzeros\n", prep.csr.rows(),
+                    prep.csr.cols(),
+                    static_cast<long long>(prep.csr.nnz()));
+    driver::reportf("BBC: %lld blocks, NnzPB %.2f, %s\n\n",
+                    static_cast<long long>(prep.bbc.numBlocks()),
+                    prep.bbc.nnzPerBlock(),
+                    fmtBytes(prep.bbc.storageBytes(
+                                 ex.cfg.bytesPerValue())).c_str());
     if (opts.count("save-bbc")) {
         if (ctx.reportingPass())
             saveBbcFile(opt("save-bbc"), prep.bbc);
-        std::printf("Saved BBC image to %s\n\n",
-                    opt("save-bbc").c_str());
+        driver::reportf("Saved BBC image to %s\n\n",
+                        opt("save-bbc").c_str());
     }
 
     StatRegistry stats;
@@ -354,7 +355,7 @@ simulateBody(const Experiment &ex, ServeHooks *hooks)
                   fmtCount(r.traffic.totalA()),
                   fmtCount(r.traffic.writesC)});
     }
-    t.print();
+    driver::report(t.render());
 
     if (ex.multi && lineup_ran) {
         // One shared stream fed the whole lineup; tasks_generated is
@@ -400,17 +401,17 @@ simulateBody(const Experiment &ex, ServeHooks *hooks)
         if (wrote_trace) {
             trace->writeChromeTraceFile(opt("trace"));
             registerTraceSinkStats(stats, *trace);
-            std::printf("\nTrace: %s (%llu events, %llu dropped)\n",
-                        opt("trace").c_str(),
-                        static_cast<unsigned long long>(
-                            trace->size()),
-                        static_cast<unsigned long long>(
-                            trace->dropped()));
+            driver::reportf("\nTrace: %s (%llu events, %llu dropped)\n",
+                            opt("trace").c_str(),
+                            static_cast<unsigned long long>(
+                                trace->size()),
+                            static_cast<unsigned long long>(
+                                trace->dropped()));
         }
         if (opts.count("stats-json")) {
             writeStatsJsonFile(stats, opt("stats-json"));
-            std::printf("%sStats: %s\n", wrote_trace ? "" : "\n",
-                        opt("stats-json").c_str());
+            driver::reportf("%sStats: %s\n", wrote_trace ? "" : "\n",
+                            opt("stats-json").c_str());
         }
     }
     return 0;

@@ -108,7 +108,8 @@ class ServeHooks
 
 /**
  * Run one experiment (the pre-driver main body of simulate_cli).
- * Must run under a DriverSession; prints the result table to stdout.
+ * Must run under a DriverSession; reports the result table through
+ * the active ExecutionContext (stdout, or the daemon's response).
  */
 int simulateBody(const Experiment &ex, ServeHooks *hooks = nullptr);
 

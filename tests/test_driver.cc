@@ -283,17 +283,34 @@ runThreeModels(std::vector<driver::RunInfo> *infos = nullptr)
 
 } // namespace
 
+/** A bench-style report of @p results through the context sink. */
+void
+reportResults(const std::vector<RunResult> &results)
+{
+    for (const RunResult &r : results) {
+        driver::reportf("%llu cycles, %llu products, %.6f pJ\n",
+                        static_cast<unsigned long long>(r.cycles),
+                        static_cast<unsigned long long>(r.products),
+                        r.energy.total());
+    }
+}
+
 TEST(DriverSessionTest, JobsReplayIsByteIdenticalToSerial)
 {
     // Serial baseline through a fresh context (Off mode).
     std::vector<RunResult> serial;
+    std::string serialReport;
     {
         ScopedContext ctx;
+        ctx->captureReport(&serialReport);
         serial = runThreeModels();
+        reportResults(serial);
     }
 
     // The same body driven through a --jobs 2 plan/replay session.
     driver::ExecutionContext ctx;
+    std::string drivenReport;
+    ctx.captureReport(&drivenReport);
     driver::SweepRequest req;
     req.jobs = 2;
     std::vector<RunResult> driven;
@@ -302,6 +319,7 @@ TEST(DriverSessionTest, JobsReplayIsByteIdenticalToSerial)
     const int rc = session.run(req, argv.argc(), argv.argv(),
                                [&driven](int, char **) {
                                    driven = runThreeModels();
+                                   reportResults(driven);
                                    return 0;
                                });
     EXPECT_EQ(rc, 0);
@@ -310,6 +328,10 @@ TEST(DriverSessionTest, JobsReplayIsByteIdenticalToSerial)
         SCOPED_TRACE(i);
         expectSameResult(serial[i], driven[i]);
     }
+    // The plan pass's sentinel report is dropped; only the replay's
+    // lands in the buffer.
+    EXPECT_FALSE(serialReport.empty());
+    EXPECT_EQ(drivenReport, serialReport);
 }
 
 TEST(DriverSessionTest, LineupThroughJobsMatchesPerModelRuns)
@@ -428,10 +450,15 @@ TEST(DriverSessionTest, ReportingPassFlagGuardsPlanPass)
     req.jobs = 2;
     driver::DriverSession session(ctx);
     Argv argv({});
+    std::string report;
+    ctx.captureReport(&report);
     std::vector<bool> seen;
     EXPECT_EQ(session.run(req, argv.argc(), argv.argv(),
                           [&](int, char **) {
                               seen.push_back(ctx.reportingPass());
+                              driver::reportf("pass %d\n",
+                                              static_cast<int>(
+                                                  seen.size()));
                               runThreeModels();
                               return 0;
                           }),
@@ -440,6 +467,7 @@ TEST(DriverSessionTest, ReportingPassFlagGuardsPlanPass)
     ASSERT_EQ(seen.size(), 2u);
     EXPECT_FALSE(seen[0]);
     EXPECT_TRUE(seen[1]);
+    EXPECT_EQ(report, "pass 2\n");
     // The context is reusable state after the run: no live executor.
     EXPECT_EQ(ctx.sweepExecutor(), nullptr);
     EXPECT_TRUE(ctx.reportingPass());
@@ -486,6 +514,8 @@ TEST(DriverSessionTest, FailingJobFailsTheSweepAtAnyJobCount)
         SCOPED_TRACE(std::string("--jobs ") + jobs);
         driver::ParsedCli cli = parseOk({"--jobs", jobs});
         driver::ExecutionContext ctx;
+        std::string report;
+        ctx.captureReport(&report);
         driver::DriverSession session(ctx);
         Argv argv({"--jobs", jobs});
         int reportingPasses = 0;
@@ -494,7 +524,9 @@ TEST(DriverSessionTest, FailingJobFailsTheSweepAtAnyJobCount)
                         [&](int, char **) {
                             if (ctx.reportingPass())
                                 ++reportingPasses;
+                            driver::reportf("sweep\n");
                             poisonedSweep();
+                            driver::reportf("done\n");
                             return 0;
                         });
             ADD_FAILURE() << "the sweep did not fail";
@@ -505,6 +537,9 @@ TEST(DriverSessionTest, FailingJobFailsTheSweepAtAnyJobCount)
         // Serial: the one (reporting) pass throws mid-body. Parallel:
         // only the silent plan pass ran; replay never started.
         EXPECT_EQ(reportingPasses, std::string(jobs) == "1" ? 1 : 0);
+        // Serial keeps the partial report up to the throw; the
+        // parallel plan pass reports nothing at all.
+        EXPECT_EQ(report, std::string(jobs) == "1" ? "sweep\n" : "");
     }
 }
 

@@ -9,8 +9,9 @@
  *  - the daemon wire codec round trip (driver/wire_codec.hh);
  *  - AdmissionController load-shedding policy and counters;
  *  - ServeCore end to end in-process: a run response byte-identical
- *    to a one-shot simulate_cli execution of the same argv, the
- *    Prepared cache going hot on a repeat request, deterministic
+ *    to a one-shot simulate_cli execution of the same argv (also with
+ *    an unwritable $TMPDIR), the Prepared cache going hot on a repeat
+ *    request, deterministic
  *    queue-full shedding, and the serve-policy flag refusals;
  *  - BenchSink manual mode: one committed warehouse run per request.
  */
@@ -387,6 +388,28 @@ TEST(ServeCore, RunResponseIsByteIdenticalToOneShotCli)
     serve::ServeCore core{serve::ServeOptions{}};
     const driver::WireResponse resp =
         core.submit(runRequest("r1", tinyArgv()));
+    EXPECT_EQ(resp.status, "ok") << resp.error;
+    EXPECT_EQ(resp.exitCode, 0);
+    EXPECT_EQ(resp.output, expected);
+}
+
+TEST(ServeCore, RunSucceedsWithUnwritableTmpdir)
+{
+    // The one-shot reference first: captureStdout itself needs a
+    // writable $TMPDIR.
+    int refRc = -1;
+    const std::string expected = oneShotCli(tinyArgv(), &refRc);
+    ASSERT_EQ(refRc, 0);
+    ASSERT_FALSE(expected.empty());
+
+    // A run request needs no scratch file: the response is the
+    // report text the body wrote through its ExecutionContext.
+    driver::WireResponse resp;
+    {
+        ScopedEnv env("TMPDIR", "/nonexistent/unistc-serve-tmpdir");
+        serve::ServeCore core{serve::ServeOptions{}};
+        resp = core.submit(runRequest("r1", tinyArgv()));
+    }
     EXPECT_EQ(resp.status, "ok") << resp.error;
     EXPECT_EQ(resp.exitCode, 0);
     EXPECT_EQ(resp.output, expected);
