@@ -20,80 +20,89 @@ BbcMatrix::fromCsr(const CsrMatrix &csr)
     out.blockCols_ =
         static_cast<int>(ceilDiv(csr.cols(), kBlockSize));
 
-    // One block row at a time: patterns and dense value scratch live
-    // in per-block-column slots that are reset via the touched list,
-    // so no per-row map (or its node churn) is needed. The value
-    // scratch is never cleared: a position is only read back when its
-    // pattern bit is set, and that bit is only set after the slot was
-    // written in this block row.
+    // One block row at a time, in two passes over its CSR rows. The
+    // first builds each touched block column's pattern, from which the
+    // block's bitmaps and value offsets follow; the second writes each
+    // value straight to its slot: block base + tile offset + the
+    // element's rank inside its tile. Patterns live in per-block-column
+    // slots reset via the touched list, so no per-row map is needed.
     std::vector<BlockPattern> pattern(out.blockCols_);
-    std::vector<std::int32_t> slot(out.blockCols_, -1);
-    std::vector<std::array<double, kBlockSize * kBlockSize>> scratch;
+    std::vector<std::int64_t> block_of(out.blockCols_, -1);
     std::vector<int> touched;
+    const auto &row_ptr = csr.rowPtr();
+    const auto &col_idx = csr.colIdx();
+    const auto &csr_vals = csr.vals();
 
     out.rowPtr_.assign(out.blockRows_ + 1, 0);
+    out.vals_.reserve(static_cast<std::size_t>(csr.nnz()));
     for (int br = 0; br < out.blockRows_; ++br) {
         touched.clear();
-        const int r_end =
-            std::min((br + 1) * kBlockSize, csr.rows());
-        for (int r = br * kBlockSize; r < r_end; ++r) {
-            const int lr = r % kBlockSize;
-            for (std::int64_t i = csr.rowPtr()[r];
-                 i < csr.rowPtr()[r + 1]; ++i) {
-                const int c = csr.colIdx()[i];
+        const int r_begin = br * kBlockSize;
+        const int r_end = std::min(r_begin + kBlockSize, csr.rows());
+        for (int r = r_begin; r < r_end; ++r) {
+            const int lr = r - r_begin;
+            for (std::int64_t i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
+                const int c = col_idx[i];
                 const int bc = c / kBlockSize;
-                const int lc = c % kBlockSize;
-                if (slot[bc] < 0) {
-                    slot[bc] = static_cast<std::int32_t>(
-                        touched.size());
+                if (block_of[bc] < 0) {
+                    block_of[bc] = 0; // touched; numbered below
                     touched.push_back(bc);
-                    if (scratch.size() < touched.size())
-                        scratch.emplace_back();
                 }
-                pattern[bc].set(lr, lc);
-                scratch[slot[bc]][lr * kBlockSize + lc] =
-                    csr.vals()[i];
+                pattern[bc].set(lr, c % kBlockSize);
             }
         }
         std::sort(touched.begin(), touched.end());
 
-        // Emit the BBC arrays in block-column order. Values go
+        // Emit the index arrays in block-column order. Values go
         // tile-by-tile (row-major tile order) and row-major inside
         // each tile, matching ValPtr_Lv2.
         out.rowPtr_[br + 1] = out.rowPtr_[br] +
             static_cast<std::int64_t>(touched.size());
+        std::int64_t values = static_cast<std::int64_t>(out.vals_.size());
         for (const int bc : touched) {
             const BlockPattern &pat = pattern[bc];
-            const std::array<double, kBlockSize * kBlockSize> &dense =
-                scratch[slot[bc]];
+            block_of[bc] = static_cast<std::int64_t>(out.colIdx_.size());
             out.colIdx_.push_back(bc);
             const std::uint16_t lv1 = pat.tileBitmap();
             out.lv1_.push_back(lv1);
             out.tileBase_.push_back(
                 static_cast<std::int64_t>(out.lv2_.size()));
-            out.valPtrLv1_.push_back(
-                static_cast<std::int64_t>(out.vals_.size()));
-
+            out.valPtrLv1_.push_back(values);
             int block_offset = 0;
             forEachSetBit(lv1, [&](int tile_bit) {
-                const int ti = tile_bit / kTilesPerEdge;
-                const int tj = tile_bit % kTilesPerEdge;
-                const std::uint16_t lv2 = pat.tilePattern(ti, tj);
+                const std::uint16_t lv2 =
+                    pat.tilePattern(tile_bit / kTilesPerEdge,
+                                    tile_bit % kTilesPerEdge);
                 out.lv2_.push_back(lv2);
                 out.valPtrLv2_.push_back(
                     static_cast<std::uint8_t>(block_offset));
-                forEachSetBit(lv2, [&](int elem_bit) {
-                    const int lr = ti * kTileSize +
-                        elem_bit / kTileSize;
-                    const int lc = tj * kTileSize +
-                        elem_bit % kTileSize;
-                    out.vals_.push_back(dense[lr * kBlockSize + lc]);
-                });
                 block_offset += popcount16(lv2);
             });
+            values += block_offset;
+        }
+        out.vals_.resize(static_cast<std::size_t>(values));
 
+        for (int r = r_begin; r < r_end; ++r) {
+            const int lr = r - r_begin;
+            const int tile_row = (lr / kTileSize) * kTilesPerEdge;
+            const int elem_row = (lr % kTileSize) * kTileSize;
+            for (std::int64_t i = row_ptr[r]; i < row_ptr[r + 1]; ++i) {
+                const int c = col_idx[i];
+                const std::int64_t blk = block_of[c / kBlockSize];
+                const int lc = c % kBlockSize;
+                const int tile_bit = tile_row + lc / kTileSize;
+                const std::int64_t tile =
+                    out.tileBase_[blk] + bitRank(out.lv1_[blk], tile_bit);
+                const int elem_bit = elem_row + lc % kTileSize;
+                out.vals_[out.valPtrLv1_[blk] + out.valPtrLv2_[tile] +
+                          bitRank(out.lv2_[tile], elem_bit)] =
+                    csr_vals[i];
+            }
+        }
+
+        for (const int bc : touched) {
             pattern[bc] = BlockPattern();
-            slot[bc] = -1;
+            block_of[bc] = -1;
         }
     }
     out.validate();
@@ -103,21 +112,48 @@ BbcMatrix::fromCsr(const CsrMatrix &csr)
 CsrMatrix
 BbcMatrix::toCsr() const
 {
-    CooMatrix coo(rows_, cols_);
-    for (std::int64_t blk = 0; blk < numBlocks(); ++blk) {
-        const BbcBlockView view = blockView(blk);
-        const auto dense = blockDense(blk);
-        for (int lr = 0; lr < kBlockSize; ++lr) {
-            for (int lc = 0; lc < kBlockSize; ++lc) {
-                if (view.pattern.test(lr, lc)) {
-                    coo.add(view.blockRow * kBlockSize + lr,
-                            view.blockCol * kBlockSize + lc,
-                            dense[lr * kBlockSize + lc]);
-                }
+    // Walk each block row once per element row: its blocks are in
+    // ascending column order, so the entries come out row-major and no
+    // sort is needed. Explicit zeros are dropped, as cooToCsr does.
+    std::vector<std::int64_t> row_ptr(rows_ + 1, 0);
+    std::vector<int> col_idx;
+    std::vector<double> vals;
+    col_idx.reserve(vals_.size());
+    vals.reserve(vals_.size());
+    for (int br = 0; br < blockRows_; ++br) {
+        const int r_begin = br * kBlockSize;
+        const int r_end = std::min(r_begin + kBlockSize, rows_);
+        for (int r = r_begin; r < r_end; ++r) {
+            const int lr = r - r_begin;
+            const int tile_shift = (lr / kTileSize) * kTilesPerEdge;
+            const int elem_shift = (lr % kTileSize) * kTileSize;
+            for (std::int64_t blk = rowPtr_[br]; blk < rowPtr_[br + 1];
+                 ++blk) {
+                const std::uint16_t lv1 = lv1_[blk];
+                const std::uint16_t tiles = row4(lv1, lr / kTileSize);
+                if (tiles == 0)
+                    continue;
+                std::int64_t tile = tileBase_[blk] + bitRank(lv1, tile_shift);
+                forEachSetBit(tiles, [&](int tj) {
+                    const std::uint16_t lv2 = lv2_[tile];
+                    std::int64_t v = valPtrLv1_[blk] + valPtrLv2_[tile] +
+                        bitRank(lv2, elem_shift);
+                    const int c0 = colIdx_[blk] * kBlockSize + tj * kTileSize;
+                    forEachSetBit(row4(lv2, lr % kTileSize), [&](int lc) {
+                        const double x = vals_[v++];
+                        if (x != 0.0) {
+                            col_idx.push_back(c0 + lc);
+                            vals.push_back(x);
+                        }
+                    });
+                    ++tile;
+                });
             }
+            row_ptr[r + 1] = static_cast<std::int64_t>(col_idx.size());
         }
     }
-    return cooToCsr(std::move(coo));
+    return CsrMatrix(rows_, cols_, std::move(row_ptr), std::move(col_idx),
+                     std::move(vals));
 }
 
 int
@@ -149,12 +185,10 @@ BbcBlockView
 BbcMatrix::blockView(std::int64_t blk) const
 {
     BbcBlockView view;
-    // Find the block row by scanning rowPtr (blocks are dense enough
-    // that callers iterate rows anyway; this is for random access).
-    int br = 0;
-    while (rowPtr_[br + 1] <= blk)
-        ++br;
-    view.blockRow = br;
+    // The block row is the last one starting at or before blk.
+    view.blockRow = static_cast<int>(
+        std::upper_bound(rowPtr_.begin(), rowPtr_.end(), blk) -
+        rowPtr_.begin() - 1);
     view.blockCol = colIdx_[blk];
     view.lv1 = lv1_[blk];
     view.pattern = blockPattern(blk);

@@ -59,12 +59,17 @@ BlockPattern::empty() const
 std::uint16_t
 BlockPattern::tileBitmap() const
 {
+    // OR each tile row's four element rows, mark the live nibbles
+    // (bits 0, 4, 8, 12) and pack them into the row's four Lv1 bits.
     std::uint16_t out = 0;
     for (int ti = 0; ti < kTilesPerEdge; ++ti) {
-        for (int tj = 0; tj < kTilesPerEdge; ++tj) {
-            if (tilePattern(ti, tj))
-                out = setBit(out, bit4x4(ti, tj));
-        }
+        const std::uint16_t *r = &rows_[ti * kTileSize];
+        const std::uint16_t live =
+            nonzeroNibbles4(static_cast<std::uint16_t>(r[0] | r[1] |
+                                                       r[2] | r[3]));
+        const unsigned packed =
+            (live | (live >> 3) | (live >> 6) | (live >> 9)) & 0xFu;
+        out = static_cast<std::uint16_t>(out | (packed << (4 * ti)));
     }
     return out;
 }

@@ -22,25 +22,39 @@ void
 CooMatrix::normalize()
 {
     validate();
-    std::sort(entries_.begin(), entries_.end(),
-              [](const CooEntry &a, const CooEntry &b) {
-                  if (a.row != b.row)
-                      return a.row < b.row;
-                  return a.col < b.col;
-              });
-    std::vector<CooEntry> merged;
-    merged.reserve(entries_.size());
-    for (const auto &e : entries_) {
-        if (!merged.empty() && merged.back().row == e.row &&
-            merged.back().col == e.col) {
-            merged.back().val += e.val;
-        } else {
-            merged.push_back(e);
+    // Generators emit row-major entries; only other input pays for the
+    // sort and the merge.
+    if (!ordered()) {
+        std::sort(entries_.begin(), entries_.end(),
+                  [](const CooEntry &a, const CooEntry &b) {
+                      if (a.row != b.row)
+                          return a.row < b.row;
+                      return a.col < b.col;
+                  });
+        std::vector<CooEntry> merged;
+        merged.reserve(entries_.size());
+        for (const auto &e : entries_) {
+            if (!merged.empty() && merged.back().row == e.row &&
+                merged.back().col == e.col) {
+                merged.back().val += e.val;
+            } else {
+                merged.push_back(e);
+            }
         }
+        entries_ = std::move(merged);
     }
     // Drop explicit zeros produced by cancellation or by generators.
-    std::erase_if(merged, [](const CooEntry &e) { return e.val == 0.0; });
-    entries_ = std::move(merged);
+    std::erase_if(entries_, [](const CooEntry &e) { return e.val == 0.0; });
+}
+
+bool
+CooMatrix::ordered() const
+{
+    return std::adjacent_find(entries_.begin(), entries_.end(),
+                              [](const CooEntry &a, const CooEntry &b) {
+                                  return a.row != b.row ? a.row > b.row
+                                                        : a.col >= b.col;
+                              }) == entries_.end();
 }
 
 void

@@ -8,6 +8,7 @@
 #ifndef UNISTC_SPARSE_COO_HH
 #define UNISTC_SPARSE_COO_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -34,11 +35,18 @@ class CooMatrix
     /** Append one entry (no bounds/duplicate checking until normalize). */
     void add(int row, int col, double val);
 
+    /** Reserve room for @p entries entries. */
+    void reserve(std::size_t entries) { entries_.reserve(entries); }
+
     /**
      * Sort entries row-major, sum duplicates and drop explicit zeros.
-     * Afterwards entries() is strictly ordered.
+     * Afterwards entries() is strictly ordered. Input that already is
+     * skips the sort and the merge.
      */
     void normalize();
+
+    /** True when entries() is strictly row-major (so duplicate-free). */
+    bool ordered() const;
 
     /** Abort if any entry is out of bounds. */
     void validate() const;

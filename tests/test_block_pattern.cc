@@ -51,6 +51,36 @@ TEST(BlockPattern, TileViewsLocateElements)
     EXPECT_EQ(p.tileNnz(1, 2), 1);
 }
 
+TEST(BlockPattern, TileBitmapMarksEveryLiveTile)
+{
+    // Lv1 bit (ti, tj) is set iff tile (ti, tj) holds an element: every
+    // single element, then random patterns from sparse to dense.
+    const auto reference = [](const BlockPattern &p) {
+        std::uint16_t out = 0;
+        for (int ti = 0; ti < 4; ++ti) {
+            for (int tj = 0; tj < 4; ++tj) {
+                if (p.tilePattern(ti, tj) != 0)
+                    out = setBit(out, bit4x4(ti, tj));
+            }
+        }
+        return out;
+    };
+    for (int r = 0; r < kBlockSize; ++r) {
+        for (int c = 0; c < kBlockSize; ++c) {
+            BlockPattern p;
+            p.set(r, c);
+            ASSERT_EQ(p.tileBitmap(), reference(p)) << r << "," << c;
+        }
+    }
+    Rng rng(78);
+    for (const double density : {0.005, 0.02, 0.1, 0.5}) {
+        for (int i = 0; i < 200; ++i) {
+            const BlockPattern p = BlockPattern::random(rng, density);
+            ASSERT_EQ(p.tileBitmap(), reference(p));
+        }
+    }
+}
+
 TEST(BlockPattern, TileNnzSumsToBlockNnz)
 {
     Rng rng(77);

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "common/rng.hh"
 #include "corpus/generators.hh"
 #include "sparse/convert.hh"
@@ -47,6 +52,150 @@ TEST(Coo, NormalizeSortsAndMergesDuplicates)
     EXPECT_EQ(coo.entries()[0].row, 0);
     EXPECT_EQ(coo.entries()[1].row, 2);
     EXPECT_DOUBLE_EQ(coo.entries()[1].val, 4.0);
+}
+
+/**
+ * The original COO->CSR assembly: sort row-major, sum adjacent
+ * duplicates, drop explicit zeros, then count rows.
+ */
+CsrMatrix
+sortMergeCsr(CooMatrix coo)
+{
+    std::vector<CooEntry> entries = coo.entries();
+    std::sort(entries.begin(), entries.end(),
+              [](const CooEntry &a, const CooEntry &b) {
+                  if (a.row != b.row)
+                      return a.row < b.row;
+                  return a.col < b.col;
+              });
+    std::vector<CooEntry> merged;
+    for (const auto &e : entries) {
+        if (!merged.empty() && merged.back().row == e.row &&
+            merged.back().col == e.col) {
+            merged.back().val += e.val;
+        } else {
+            merged.push_back(e);
+        }
+    }
+    std::erase_if(merged, [](const CooEntry &e) { return e.val == 0.0; });
+    std::vector<std::int64_t> row_ptr(coo.rows() + 1, 0);
+    std::vector<int> col_idx;
+    std::vector<double> vals;
+    for (const auto &e : merged) {
+        ++row_ptr[e.row + 1];
+        col_idx.push_back(e.col);
+        vals.push_back(e.val);
+    }
+    for (int r = 0; r < coo.rows(); ++r)
+        row_ptr[r + 1] += row_ptr[r];
+    return CsrMatrix(coo.rows(), coo.cols(), std::move(row_ptr),
+                     std::move(col_idx), std::move(vals));
+}
+
+/** Bit-for-bit equality of two value arrays (so -0.0 != 0.0). */
+bool
+sameBits(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](double x, double y) {
+                          return std::bit_cast<std::uint64_t>(x) ==
+                              std::bit_cast<std::uint64_t>(y);
+                      });
+}
+
+/** Byte equality of the three CSR arrays. */
+void
+expectSameBytes(const CsrMatrix &a, const CsrMatrix &b)
+{
+    EXPECT_EQ(a.rows(), b.rows());
+    EXPECT_EQ(a.cols(), b.cols());
+    EXPECT_EQ(a.rowPtr(), b.rowPtr());
+    EXPECT_EQ(a.colIdx(), b.colIdx());
+    EXPECT_TRUE(sameBits(a.vals(), b.vals()));
+}
+
+TEST(Coo, OrderedInputMatchesSortMerge)
+{
+    Rng rng(77);
+    CooMatrix coo(300, 250);
+    for (int r = 0; r < 300; ++r) {
+        if (r % 7 == 3)
+            continue; // empty rows
+        for (int c = 0; c < 250; ++c) {
+            if (rng.nextBool(0.05)) {
+                // Some explicit zeros, including -0.0.
+                const double v = rng.nextBool(0.1)
+                    ? (rng.nextBool(0.5) ? 0.0 : -0.0)
+                    : rng.nextDouble(-1.0, 1.0);
+                coo.add(r, c, v);
+            }
+        }
+    }
+    ASSERT_TRUE(coo.ordered());
+    const CsrMatrix want = sortMergeCsr(coo);
+    const CsrMatrix got = cooToCsr(coo);
+    expectSameBytes(got, want);
+    for (double v : got.vals())
+        EXPECT_NE(v, 0.0);
+
+    coo.normalize();
+    EXPECT_EQ(coo.nnz(), want.nnz());
+    EXPECT_TRUE(coo.ordered());
+}
+
+TEST(Coo, UnorderedDuplicatesSumAsBefore)
+{
+    // Duplicates of three and more with distinct values: the sum's
+    // rounding depends on the order the sort leaves them in.
+    Rng rng(78);
+    CooMatrix coo(41, 41);
+    for (int i = 0; i < 4000; ++i) {
+        const int r = static_cast<int>(rng.nextBelow(40));
+        const int c = static_cast<int>(rng.nextBelow(40));
+        coo.add(r, c, rng.nextDouble(-1.0, 1.0) * 1e-3 +
+                          (rng.nextBool(0.5) ? 1e8 : -1e8));
+    }
+    // Row and column 40 get only zeros: explicit ones and a pair
+    // that cancels.
+    coo.add(40, 3, 0.0);
+    coo.add(7, 40, -0.0);
+    coo.add(40, 40, 2.5);
+    coo.add(40, 40, -2.5);
+    ASSERT_FALSE(coo.ordered());
+    const CsrMatrix m = cooToCsr(coo);
+    expectSameBytes(m, sortMergeCsr(coo));
+    EXPECT_EQ(m.rowNnz(40), 0);
+    for (int c : m.colIdx())
+        EXPECT_NE(c, 40);
+
+    // Row-major but with adjacent duplicates: not strictly ordered, so
+    // it takes the sort path and still sums.
+    CooMatrix dup(3, 3);
+    dup.add(0, 1, 0.1);
+    dup.add(0, 1, 0.2);
+    dup.add(0, 1, 0.3);
+    dup.add(2, 2, 1.0);
+    dup.add(2, 2, -1.0);
+    ASSERT_FALSE(dup.ordered());
+    const CsrMatrix d = cooToCsr(dup);
+    expectSameBytes(d, sortMergeCsr(dup));
+    ASSERT_EQ(d.nnz(), 1);
+    EXPECT_EQ(d.vals()[0], (0.1 + 0.2) + 0.3);
+}
+
+TEST(CooDeathTest, OrderedOutOfBoundsStillAborts)
+{
+    CooMatrix past_end(4, 4);
+    past_end.add(0, 1, 1.0);
+    past_end.add(4, 0, 1.0);
+    ASSERT_TRUE(past_end.ordered());
+    EXPECT_DEATH(cooToCsr(past_end), "out of bounds");
+
+    CooMatrix negative(4, 4);
+    negative.add(0, -1, 1.0);
+    negative.add(0, 2, 1.0);
+    ASSERT_TRUE(negative.ordered());
+    EXPECT_DEATH(cooToCsr(negative), "out of bounds");
 }
 
 TEST(Csr, MatchesFig1Example)
