@@ -5,8 +5,7 @@
  * sweep the EED study (Fig. 22) divides by.
  */
 
-#include "common/table.hh"
-#include "driver/execution_context.hh"
+#include "bench_common.hh"
 #include "sim/area.hh"
 
 using namespace unistc;

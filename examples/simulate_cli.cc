@@ -11,11 +11,9 @@
  * Built on the execution driver (src/driver/): the experiment is a
  * plain serial body handed to a DriverSession, which supplies the
  * whole standard execution family — --jobs plan/replay sweeps
- * (docs/PARALLELISM.md), --resume checkpointing (docs/ROBUSTNESS.md),
- * crash-isolated --shards (docs/SHARDING.md), the matrix artifact
- * cache flags (docs/CACHING.md), --log-level, --help and --version —
- * with byte-identical output across worker counts, shard counts and
- * resume state.
+ * (docs/PARALLELISM.md), the matrix artifact cache flags
+ * (docs/CACHING.md), --log-level, --help and --version — with
+ * byte-identical output across worker counts.
  *
  * The experiment parser and body live in src/serve/sim_service.hh,
  * SHARED with the unistc_serve daemon (docs/SERVING.md): a daemon
@@ -56,8 +54,7 @@ main(int argc, char **argv)
     }
 
     // Resolve and validate every front-end flag BEFORE the driver
-    // runs, so a typo'd experiment fails fast in the parent — not
-    // once per forked shard worker.
+    // runs, so a typo'd experiment fails fast — not once per pass.
     serve::Experiment ex = serve::makeExperiment(cli);
 
     driver::DriverSession session;

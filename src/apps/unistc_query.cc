@@ -8,7 +8,6 @@
  *   unistc_query --warehouse DIR drift
  *   unistc_query --warehouse DIR cache-rate
  *   unistc_query --warehouse DIR slowest --top 10
- *   unistc_query --warehouse DIR recovery
  *   unistc_query --warehouse DIR export-bench --run latest --out F
  *   unistc_query --warehouse DIR check-regressions \
  *       --baseline <label|id|latest> [--current latest] \
@@ -51,8 +50,6 @@ usage(const char *self)
         "  drift                     per-family utilisation drift\n"
         "  cache-rate                cache hit-rate per run\n"
         "  slowest                   slowest rows of one run\n"
-        "  recovery                  --shards recovery counters per"
-        " run\n"
         "  export-bench              run -> UNISTC_BENCH_JSON format\n"
         "  check-regressions         latest run vs a baseline\n"
         "\n"
@@ -172,21 +169,6 @@ parseArgs(int argc, char **argv, Args *args)
     return !args->command.empty();
 }
 
-/** Counter lookup helper: 0 when a run never recorded @p name. */
-std::uint64_t
-counterOr0(const RunMeta &m, const std::string &name)
-{
-    const auto it = m.counters.find(name);
-    return it == m.counters.end() ? 0 : it->second;
-}
-
-/** True when the run went through the --shards supervisor. */
-bool
-ranSharded(const RunMeta &m)
-{
-    return counterOr0(m, "robust.shard_count") > 0;
-}
-
 int
 cmdList(const WarehouseReader &reader, const Args &args)
 {
@@ -248,56 +230,6 @@ cmdShow(const WarehouseReader &reader, const Args &args)
     for (const auto &[name, v] : m.counters)
         std::printf("counter:   %s = %llu\n", name.c_str(),
                     static_cast<unsigned long long>(v));
-    if (ranSharded(m)) {
-        std::printf(
-            "recovery:  %llu shard(s): %llu spawned, %llu killed, "
-            "%llu retried, %llu quarantined\n",
-            static_cast<unsigned long long>(
-                counterOr0(m, "robust.shard_count")),
-            static_cast<unsigned long long>(
-                counterOr0(m, "robust.shard_spawned")),
-            static_cast<unsigned long long>(
-                counterOr0(m, "robust.shard_killed_wall_clock") +
-                counterOr0(m, "robust.shard_killed_heartbeat")),
-            static_cast<unsigned long long>(
-                counterOr0(m, "robust.shard_retried")),
-            static_cast<unsigned long long>(
-                counterOr0(m, "robust.shard_quarantined")));
-    }
-    return 0;
-}
-
-int
-cmdRecovery(const WarehouseReader &reader, const Args &args)
-{
-    TextTable t("--shards recovery by run (robust.shard_* "
-                "counters; docs/SHARDING.md)");
-    t.setHeader({"run", "bench", "shards", "spawned", "killed",
-                 "retried", "quarantined"});
-    std::size_t shown = 0;
-    for (const RunMeta &m : reader.runs()) {
-        if (!args.bench.empty() && m.bench != args.bench)
-            continue;
-        if (!ranSharded(m))
-            continue;
-        ++shown;
-        t.addRow(
-            {m.id, m.bench,
-             std::to_string(counterOr0(m, "robust.shard_count")),
-             std::to_string(counterOr0(m, "robust.shard_spawned")),
-             std::to_string(
-                 counterOr0(m, "robust.shard_killed_wall_clock") +
-                 counterOr0(m, "robust.shard_killed_heartbeat")),
-             std::to_string(counterOr0(m, "robust.shard_retried")),
-             std::to_string(
-                 counterOr0(m, "robust.shard_quarantined"))});
-    }
-    if (shown == 0) {
-        std::printf("no sharded runs in '%s'\n",
-                    reader.dir().c_str());
-        return 0;
-    }
-    std::fputs(t.render().c_str(), stdout);
     return 0;
 }
 
@@ -482,8 +414,6 @@ main(int argc, char **argv)
         return cmdCacheRate(reader, args);
     if (args.command == "slowest")
         return cmdSlowest(reader, args);
-    if (args.command == "recovery")
-        return cmdRecovery(reader, args);
     if (args.command == "export-bench")
         return cmdExportBench(reader, args);
     if (args.command == "check-regressions")

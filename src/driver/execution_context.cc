@@ -60,33 +60,11 @@ ExecutionContext::report(std::string_view text)
         std::fwrite(text.data(), 1, text.size(), stdout);
 }
 
-const TraceSink *
-ExecutionContext::runTrace() const
-{
-    if (supervisorTrace_ != nullptr)
-        return supervisorTrace_;
-    const SweepExecutor *exec = sweep_.executor();
-    return exec != nullptr ? exec->trace() : nullptr;
-}
-
-void
-ExecutionContext::setShardSummary(int shards,
-                                  const ShardRecoveryCounters &counters)
-{
-    shardSummaryShards_ = shards;
-    shardSummary_ = counters;
-}
-
 void
 ExecutionContext::beginRun()
 {
-    checkpoints_.reset();
     sweep_.reset();
-    shard_.reset();
     reportingPass_ = true;
-    supervisorTrace_ = nullptr;
-    shardSummaryShards_ = 0;
-    shardSummary_ = ShardRecoveryCounters();
 }
 
 void

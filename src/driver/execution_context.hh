@@ -1,9 +1,9 @@
 /**
  * @file
  * ExecutionContext: everything one sweep run needs to execute —
- * checkpoint, sweep and shard sessions plus the result log — owned
- * by one object instead of four per-process singletons (the
- * bench_common.hh arrangement this library replaced). A process gets
+ * the --jobs sweep session plus the result log — owned by one object
+ * instead of per-process singletons (the bench_common.hh arrangement
+ * this library replaced). A process gets
  * a default context (global()) whose ResultLog still arms the
  * UNISTC_BENCH_JSON dump-at-exit, so existing binaries behave
  * identically; embedders (tests, the future unistc_serve daemon)
@@ -21,11 +21,8 @@
 #include <string>
 #include <string_view>
 
-#include "driver/checkpoint_session.hh"
 #include "driver/result_log.hh"
-#include "driver/shard_session.hh"
 #include "driver/sweep_session.hh"
-#include "exec/shard_supervisor.hh"
 #include "obs/trace.hh"
 
 namespace unistc
@@ -33,7 +30,7 @@ namespace unistc
 namespace driver
 {
 
-/** One run's execution state: sessions + result log. */
+/** One run's execution state: sweep session + result log. */
 class ExecutionContext
 {
   public:
@@ -63,15 +60,13 @@ class ExecutionContext
     /** current() when installed, the process default otherwise. */
     static ExecutionContext &active();
 
-    CheckpointSession &checkpoints() { return checkpoints_; }
     SweepSession &sweep() { return sweep_; }
-    ShardSession &shard() { return shard_; }
     ResultLog &results() { return results_; }
 
     /**
      * False while the body's output is being discarded — the --jobs
-     * plan pass and shard worker mode, where report() drops its text
-     * and results are sentinels. Front-ends guard artifact writes
+     * plan pass, where report() drops its text and results are
+     * sentinels. Front-ends guard artifact writes
      * (traces, stats JSON, saved BBC containers) on it so files are
      * written exactly once, by the reporting run.
      */
@@ -104,37 +99,19 @@ class ExecutionContext
     }
 
     /**
-     * The run's trace: the shard supervisor's lifecycle trace when
-     * this is a serve pass that recorded one, the sweep executor's
-     * merged per-job trace during replay, null otherwise.
+     * The run's trace: the sweep executor's merged per-job trace
+     * during replay, null otherwise.
      */
-    const TraceSink *runTrace() const;
-
-    /** Serve pass only: the supervisor's lifecycle trace sink. */
-    void
-    setSupervisorTrace(const TraceSink *trace)
+    const TraceSink *
+    runTrace() const
     {
-        supervisorTrace_ = trace;
+        const SweepExecutor *exec = sweep_.executor();
+        return exec != nullptr ? exec->trace() : nullptr;
     }
 
     /**
-     * Serve pass only: shard count + supervision tallies, for
-     * front-ends that export them (simulate_cli's stats JSON).
-     * shardSummaryShards() is 0 outside a supervised run.
-     */
-    void setShardSummary(int shards,
-                         const ShardRecoveryCounters &counters);
-    int shardSummaryShards() const { return shardSummaryShards_; }
-    const ShardRecoveryCounters &
-    shardSummary() const
-    {
-        return shardSummary_;
-    }
-
-    /**
-     * Reset per-run session state (sweep/shard/checkpoint modes,
-     * cursors, supervisor hooks) so a long-lived context can serve
-     * another request. Recorded results are kept — the log spans the
+     * Reset per-run session state (sweep mode and cursor, reporting
+     * pass) so a long-lived context can serve another request. Recorded results are kept — the log spans the
      * process — and the matrix cache, a process-wide resource, is
      * untouched.
      */
@@ -146,15 +123,10 @@ class ExecutionContext
     {
     }
 
-    CheckpointSession checkpoints_;
     SweepSession sweep_;
-    ShardSession shard_;
     ResultLog results_;
     bool reportingPass_ = true;
     std::string *capture_ = nullptr;
-    const TraceSink *supervisorTrace_ = nullptr;
-    int shardSummaryShards_ = 0;
-    ShardRecoveryCounters shardSummary_;
 };
 
 /** Report @p text through the active context's sink. */

@@ -35,19 +35,6 @@ parseNonNegInt(const std::string &text, long &out)
     return true;
 }
 
-bool
-parseNonNegSeconds(const std::string &text, double &out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    const double v = std::strtod(text.c_str(), &end);
-    if (end == nullptr || *end != '\0' || v < 0.0)
-        return false;
-    out = v;
-    return true;
-}
-
 struct StdFlag
 {
     const char *name;
@@ -64,9 +51,6 @@ const StdFlag kStdFlags[] = {
      "tiny corpus for ctest smoke runs (implies --quick)"},
     {"jobs", true, "N",
      "worker threads, 0/'auto' = all cores (also UNISTC_JOBS)"},
-    {"resume", true, "PATH",
-     "checkpoint finished jobs to PATH and skip jobs already there "
-     "(also UNISTC_BENCH_RESUME; docs/ROBUSTNESS.md)"},
     {"log-level", true, "LEVEL",
      "debug|info|warn|error|silent (or 0-4)"},
     {"cache-dir", true, "PATH",
@@ -75,23 +59,6 @@ const StdFlag kStdFlags[] = {
     {"cache", true, "MODE",
      "off | ro | rw (default rw when a cache dir is set; also "
      "UNISTC_CACHE)"},
-    {"shards", true, "K",
-     "fan the sweep across K crash-isolated worker processes "
-     "(docs/SHARDING.md)"},
-    {"shard", true, "I",
-     "run as shard worker I (spawned by the supervisor)"},
-    {"shard-out", true, "PATH", "worker manifest path"},
-    {"shard-dir", true, "DIR", "supervisor manifest directory"},
-    {"shard-max-seconds", true, "S",
-     "SIGKILL budget per shard attempt (0 = off)"},
-    {"shard-heartbeat-seconds", true, "S",
-     "SIGKILL after S silent seconds (0 = off)"},
-    {"shard-retries", true, "N",
-     "retries per shard after the first attempt"},
-    {"shard-backoff-seconds", true, "S",
-     "first retry delay (doubles per retry)"},
-    {"shard-strict", false, "",
-     "fail the run instead of quarantining a dead shard"},
 };
 
 const StdFlag *
@@ -121,7 +88,6 @@ applyStdFlag(SweepRequest &req, const std::string &name,
              const std::string &value, int &requestedJobs)
 {
     long n = 0;
-    double sec = 0.0;
     if (name == "quick") {
         req.quick = true;
     } else if (name == "smoke") {
@@ -138,8 +104,6 @@ applyStdFlag(SweepRequest &req, const std::string &name,
             return optError("--jobs needs a non-negative integer or "
                             "'auto', got '" + value + "'");
         }
-    } else if (name == "resume") {
-        req.resumePath = value;
     } else if (name == "log-level") {
         LogLevel level = LogLevel::Info;
         if (!parseLogLevel(value, level)) {
@@ -159,50 +123,6 @@ applyStdFlag(SweepRequest &req, const std::string &name,
         }
         req.cacheFlagged = true;
         req.cacheMode = mode;
-    } else if (name == "shards") {
-        if (!parseNonNegInt(value, n)) {
-            return optError("--shards needs a non-negative integer, "
-                            "got '" + value + "'");
-        }
-        req.shards = static_cast<int>(n);
-    } else if (name == "shard") {
-        if (!parseNonNegInt(value, n)) {
-            return optError("--shard needs a non-negative integer, "
-                            "got '" + value + "'");
-        }
-        req.shard = static_cast<int>(n);
-    } else if (name == "shard-out") {
-        req.shardOut = value;
-    } else if (name == "shard-dir") {
-        req.shardDir = value;
-    } else if (name == "shard-max-seconds") {
-        if (!parseNonNegSeconds(value, sec)) {
-            return optError("--shard-max-seconds needs a non-negative "
-                            "number of seconds, got '" + value + "'");
-        }
-        req.shardMaxSeconds = sec;
-    } else if (name == "shard-heartbeat-seconds") {
-        if (!parseNonNegSeconds(value, sec)) {
-            return optError(
-                "--shard-heartbeat-seconds needs a non-negative "
-                "number of seconds, got '" + value + "'");
-        }
-        req.shardHeartbeatSeconds = sec;
-    } else if (name == "shard-retries") {
-        if (!parseNonNegInt(value, n)) {
-            return optError("--shard-retries needs a non-negative "
-                            "integer, got '" + value + "'");
-        }
-        req.shardRetries = static_cast<int>(n);
-    } else if (name == "shard-backoff-seconds") {
-        if (!parseNonNegSeconds(value, sec)) {
-            return optError(
-                "--shard-backoff-seconds needs a non-negative "
-                "number of seconds, got '" + value + "'");
-        }
-        req.shardBackoffSeconds = sec;
-    } else if (name == "shard-strict") {
-        req.shardStrict = true;
     }
     return Status();
 }
@@ -280,16 +200,9 @@ parseSweepCli(int argc, char **argv,
         }
     }
 
-    // Environment fallbacks, exactly as the legacy per-binary
-    // parsers resolved them.
-    if (out.request.resumePath.empty()) {
-        if (const char *env = std::getenv("UNISTC_BENCH_RESUME"))
-            out.request.resumePath = env;
-    }
+    // Environment fallback (UNISTC_JOBS), exactly as the legacy
+    // per-binary parsers resolved it.
     out.request.jobs = SweepExecutor::resolveJobs(requestedJobs, 1);
-
-    if (out.request.shards < 1)
-        return optError("--shards needs at least 1 shard");
     return out;
 }
 

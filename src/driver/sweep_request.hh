@@ -14,14 +14,8 @@
  *   --quick / --smoke            workload shrinking (UNISTC_BENCH_QUICK)
  *   --jobs N                     worker threads (UNISTC_JOBS; 0/auto =
  *                                all cores)
- *   --resume P                   checkpoint/resume (UNISTC_BENCH_RESUME)
  *   --log-level LEVEL            debug|info|warn|error|silent (or 0-4)
  *   --cache-dir P / --cache M    matrix artifact cache (docs/CACHING.md)
- *   --shards K / --shard i / --shard-out P / --shard-dir D /
- *   --shard-max-seconds S / --shard-heartbeat-seconds S /
- *   --shard-retries N / --shard-backoff-seconds S / --shard-strict
- *                                crash-isolated sharding
- *                                (docs/SHARDING.md)
  *   --help, -h                   the generated usage text
  *   --version                    git sha + on-disk schema versions
  *
@@ -71,13 +65,10 @@ struct SweepRequest
     // Parallel in-process sweep (docs/PARALLELISM.md).
     int jobs = 1; ///< Resolved worker count (env + flag + hardware).
 
-    // Checkpoint / resume (docs/ROBUSTNESS.md).
-    std::string resumePath; ///< Empty: resume off.
-
     /**
-     * Per-job trace ring capacity for the sweep executor (and the
-     * shard supervisor's lifecycle trace). Not a standard flag:
-     * front-ends with a --trace option set it programmatically.
+     * Per-job trace ring capacity for the sweep executor. Not a
+     * standard flag: front-ends with a --trace option set it
+     * programmatically.
      * Non-zero forces the plan/replay path even at --jobs 1 so the
      * trace is byte-equal in structure for any worker count.
      */
@@ -86,17 +77,6 @@ struct SweepRequest
     // Log level (--log-level), applied before the driver runs.
     bool logLevelSet = false;
     LogLevel logLevel = LogLevel::Info;
-
-    // Crash-isolated sharding (docs/SHARDING.md).
-    int shards = 1;
-    int shard = -1;           ///< >= 0: run as worker child i.
-    std::string shardOut;     ///< Worker manifest path.
-    std::string shardDir;     ///< Supervisor manifest directory.
-    double shardMaxSeconds = 0.0;
-    double shardHeartbeatSeconds = 0.0;
-    int shardRetries = 1;
-    double shardBackoffSeconds = 0.25;
-    bool shardStrict = false;
 
     // Matrix artifact cache (docs/CACHING.md). cacheFlagged is true
     // only when a cache flag appeared: without it the MatrixCache
@@ -120,8 +100,8 @@ struct ParsedCli
 
 /**
  * Parse @p argv against the standard family plus @p extraFlags.
- * Environment fallbacks (UNISTC_JOBS, UNISTC_BENCH_RESUME,
- * UNISTC_BENCH_QUICK) are resolved here, so the returned request is
+ * Environment fallbacks (UNISTC_JOBS, UNISTC_BENCH_QUICK) are
+ * resolved here, so the returned request is
  * self-contained. Malformed or unknown options come back as a typed
  * error — front-ends raise() it — and --help/--version short-circuit
  * validation (helpRequested/versionRequested set, rest best-effort).
@@ -138,8 +118,7 @@ std::string sweepCliHelp(const std::string &binaryName,
  * True when the run should shrink workloads: --quick / --smoke on
  * the command line or UNISTC_BENCH_QUICK in the environment. Kept as
  * an argv scan (not a SweepRequest field) because bench bodies call
- * it after the driver exported --smoke into the environment for
- * child phases.
+ * it after the driver exported --smoke into the environment.
  */
 bool quickRequested(int argc, char **argv);
 

@@ -2,8 +2,8 @@
  * @file
  * Temporary-directory resolution for the execution driver: sandboxed
  * CI runners mount /tmp read-only and point $TMPDIR somewhere
- * writable, so every scratch path the driver creates (shard manifest
- * directories; scratch files for tools and tests) must resolve
+ * writable, so every scratch path the driver creates (scratch files
+ * for tools and tests) must resolve
  * through the environment instead of hardcoding "/tmp".
  */
 

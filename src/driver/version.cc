@@ -4,9 +4,7 @@
 
 #include "bbc/bbc_io.hh"
 #include "driver/build_info.hh"
-#include "exec/shard_plan.hh"
 #include "obs/bench_json.hh"
-#include "robust/checkpoint.hh"
 #include "warehouse/schema.hh"
 
 namespace unistc
@@ -29,9 +27,7 @@ versionString(const std::string &binaryName)
     os << "formats: bench-json " << kBenchSchemaName << "/v"
        << kBenchSchemaVersion << ", warehouse v"
        << warehouse::kSchemaVersion << ", bbc-container v"
-       << kBbcContainerVersion << ", checkpoint v"
-       << kCheckpointFormatVersion << ", shard-manifest v"
-       << kShardManifestVersion << "\n";
+       << kBbcContainerVersion << "\n";
     return os.str();
 }
 

@@ -14,9 +14,8 @@
  * Failure: a job that throws fails the sweep. wait() rethrows the
  * first failure in submission order — the very exception a serial
  * run of the same jobs would have thrown first, at any worker count.
- * Jobs are deterministic, so there is nothing to retry in-process;
- * crash isolation and recovery belong to the process-level shard
- * supervisor (docs/SHARDING.md).
+ * Jobs are deterministic, so there is nothing to retry: a failing
+ * job is a bug to fix, and the run fails at every worker count.
  */
 
 #ifndef UNISTC_EXEC_SWEEP_EXECUTOR_HH

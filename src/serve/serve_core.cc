@@ -265,16 +265,11 @@ ServeCore::parseJobLocked(Job &job)
     }
     job.cli = std::move(parsed).value();
 
-    // Serve policy: no fork/exec (--shards re-execs argv[0]), no
-    // server-side artifact writes, no process-global reconfiguration
-    // on behalf of one client.
+    // Serve policy: no server-side artifact writes, no
+    // process-global reconfiguration on behalf of one client.
     std::string refused;
     if (job.cli.helpRequested || job.cli.versionRequested)
         refused = "--help/--version";
-    else if (job.cli.request.shards > 1 || job.cli.request.shard >= 0)
-        refused = "--shards/--shard";
-    else if (!job.cli.request.resumePath.empty())
-        refused = "--resume";
     else if (job.cli.request.smoke)
         refused = "--smoke";
     else if (job.cli.request.cacheFlagged)

@@ -231,8 +231,7 @@ ServeHooks::lookupResult(const std::string &, RunResult *)
 
 /**
  * The simulation body a DriverSession drives: with --jobs it runs
- * twice (silenced plan pass, then the reporting replay pass), under
- * --shards once per worker plus the supervisor's serve pass. Report
+ * twice (silenced plan pass, then the reporting replay pass). Report
  * text goes through driver::report/reportf, which drop it on the
  * silenced passes; any other side effect beyond runKernel() calls
  * must be guarded on ExecutionContext::reportingPass().
@@ -252,9 +251,8 @@ simulateBody(const Experiment &ex, ServeHooks *hooks)
     };
 
     const std::string source_label = sourceLabel(ex);
-    // The Prepared name keys checkpoint and shard manifest entries,
-    // so it is the stable source label (buildPrepared), not a
-    // per-run string.
+    // The Prepared name keys ResultLog and warehouse rows, so it is
+    // the stable source label (buildPrepared), not a per-run string.
     const driver::Prepared &prep =
         hooks->prepared(source_label,
                         [&ex]() { return buildPrepared(ex); });
@@ -303,9 +301,7 @@ simulateBody(const Experiment &ex, ServeHooks *hooks)
     // lineup pass, in which case the bit-identical result is spliced
     // in and recorded exactly like runKernel() would have.
     std::vector<RunResult> results(ex.names.size());
-    std::vector<driver::RunInfo> infos(ex.names.size());
     PipelineCounters engine_counters;
-    bool lineup_ran = false;
     if (ex.multi) {
         std::vector<const StcModel *> models;
         models.reserve(owned.size());
@@ -313,10 +309,7 @@ simulateBody(const Experiment &ex, ServeHooks *hooks)
             models.push_back(m.get());
         results = driver::runKernelLineup(
             ex.kernel, models, prep, EnergyModel(),
-            /*record_timing=*/false, &engine_counters, ex.bCols,
-            &infos);
-        for (const driver::RunInfo &info : infos)
-            lineup_ran = lineup_ran || !info.resumed;
+            /*record_timing=*/false, &engine_counters, ex.bCols);
     } else {
         for (std::size_t n = 0; n < ex.names.size(); ++n) {
             RunResult memoed;
@@ -328,8 +321,7 @@ simulateBody(const Experiment &ex, ServeHooks *hooks)
                 continue;
             }
             results[n] = driver::runKernel(ex.kernel, *owned[n], prep,
-                                           EnergyModel(), ex.bCols,
-                                           &infos[n]);
+                                           EnergyModel(), ex.bCols);
         }
     }
 
@@ -340,24 +332,15 @@ simulateBody(const Experiment &ex, ServeHooks *hooks)
                  "C writes"});
     for (std::size_t i = 0; i < ex.names.size(); ++i) {
         const RunResult &r = results[i];
-        const driver::RunInfo &info = infos[i];
         registerRunResult(stats, r, "models." + ex.names[i] + ".");
-        if (info.quarantined) {
-            UNISTC_WARN("job for model '", ex.names[i],
-                        "' quarantined with its shard");
-            t.addRow({ex.names[i], "QUARANTINED", "-", "-", "-",
-                      "-"});
-            continue;
-        }
-        t.addRow({ex.names[i] + (info.resumed ? " (resumed)" : ""),
-                  fmtCount(r.cycles), fmtPercent(r.utilisation()),
+        t.addRow({ex.names[i], fmtCount(r.cycles), fmtPercent(r.utilisation()),
                   fmtEnergyPj(r.energy.total()),
                   fmtCount(r.traffic.totalA()),
                   fmtCount(r.traffic.writesC)});
     }
     driver::report(t.render());
 
-    if (ex.multi && lineup_ran) {
+    if (ex.multi) {
         // One shared stream fed the whole lineup; tasks_generated is
         // the single-model enumeration count while models_fanout
         // models consumed it. Timing fields stay out so the stats
@@ -365,20 +348,12 @@ simulateBody(const Experiment &ex, ServeHooks *hooks)
         engine_counters.registerStats(stats, "engine.",
                                       /*includeTiming=*/false);
     }
-    if (ctx.shardSummaryShards() > 0) {
-        registerShardStats(stats, ctx.shardSummaryShards(),
-                           ctx.shardSummary());
-    }
     if (MatrixCache::global().enabled())
         MatrixCache::global().registerStats(stats);
 
     // Reporting artifacts (trace, stats JSON) are written exactly
-    // once, by the reporting pass — never by the silenced plan pass
-    // or a shard worker.
+    // once, by the reporting pass — never by the silenced plan pass.
     if (ctx.reportingPass()) {
-        // Sharded runs carry the supervisor's lifecycle events
-        // (spawn / kill / retry / quarantine instants) instead of
-        // per-job spans — the jobs ran in other processes.
         const TraceSink *trace = ctx.runTrace();
         // Splice the cache's per-key resolution spans (its own trace
         // process) into the model trace before writing it out.

@@ -59,8 +59,8 @@ Experiment makeExperiment(driver::ParsedCli &cli);
 /**
  * The matrix source of @p ex: --matrix path, --gen spec, or the
  * default generator spec. Stable across processes — it keys
- * checkpoints, shard manifests, the daemon's Prepared cache and the
- * batch result memo.
+ * ResultLog rows, the daemon's Prepared cache and the batch result
+ * memo.
  */
 std::string sourceLabel(const Experiment &ex);
 

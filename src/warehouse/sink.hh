@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "engine/kernel_pipeline.hh"
-#include "exec/shard_supervisor.hh"
 #include "sim/result.hh"
 #include "warehouse/warehouse.hh"
 
@@ -76,14 +75,6 @@ class BenchSink
     void recordEngine(const std::string &kernel,
                       const std::string &matrix,
                       const PipelineCounters &counters, bool timed);
-
-    /**
-     * Fold a shard supervisor's recovery tallies into the commit
-     * counters (robust.shard_* keys, read back by `unistc_query
-     * recovery`). Lands in META only, so sharded and single-process
-     * runs keep byte-identical row files.
-     */
-    void noteShards(int shards, const ShardRecoveryCounters &sc);
 
     /**
      * Seal the run: snapshot the matrix-cache counters, commit.

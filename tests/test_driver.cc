@@ -11,7 +11,6 @@
  * CMakePresets.json).
  */
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -30,12 +29,6 @@ namespace unistc
 {
 namespace
 {
-
-std::string
-tempPath(const std::string &name)
-{
-    return ::testing::TempDir() + "/" + name;
-}
 
 /** argv adapter: parseSweepCli wants mutable char** like main(). */
 class Argv
@@ -105,9 +98,7 @@ TEST(SweepRequestParse, DefaultsAreSerialAndUnsharded)
     EXPECT_FALSE(cli.request.quick);
     EXPECT_FALSE(cli.request.smoke);
     EXPECT_EQ(cli.request.jobs, 1);
-    EXPECT_TRUE(cli.request.resumePath.empty());
-    EXPECT_EQ(cli.request.shards, 1);
-    EXPECT_EQ(cli.request.shard, -1);
+    EXPECT_FALSE(cli.request.logLevelSet);
     EXPECT_FALSE(cli.request.cacheFlagged);
     EXPECT_TRUE(cli.extra.empty());
 }
@@ -115,23 +106,13 @@ TEST(SweepRequestParse, DefaultsAreSerialAndUnsharded)
 TEST(SweepRequestParse, StandardFamilyRoundTrips)
 {
     const driver::ParsedCli cli = parseOk(
-        {"--quick", "--jobs", "3", "--resume", "/tmp/ck",
-         "--log-level", "warn", "--shards", "4", "--shard-max-seconds", "9",
-         "--shard-heartbeat-seconds", "1.5", "--shard-retries", "2",
-         "--shard-backoff-seconds", "0.5", "--shard-strict",
+        {"--quick", "--jobs", "3", "--log-level", "warn",
          "--cache-dir", "/tmp/cache", "--cache", "ro"});
     const driver::SweepRequest &req = cli.request;
     EXPECT_TRUE(req.quick);
     EXPECT_EQ(req.jobs, 3);
-    EXPECT_EQ(req.resumePath, "/tmp/ck");
     EXPECT_TRUE(req.logLevelSet);
     EXPECT_EQ(req.logLevel, LogLevel::Warn);
-    EXPECT_EQ(req.shards, 4);
-    EXPECT_DOUBLE_EQ(req.shardMaxSeconds, 9.0);
-    EXPECT_DOUBLE_EQ(req.shardHeartbeatSeconds, 1.5);
-    EXPECT_EQ(req.shardRetries, 2);
-    EXPECT_DOUBLE_EQ(req.shardBackoffSeconds, 0.5);
-    EXPECT_TRUE(req.shardStrict);
     EXPECT_TRUE(req.cacheFlagged);
     EXPECT_EQ(req.cacheDir, "/tmp/cache");
     EXPECT_EQ(req.cacheMode, CacheMode::ReadOnly);
@@ -140,11 +121,11 @@ TEST(SweepRequestParse, StandardFamilyRoundTrips)
 TEST(SweepRequestParse, EqualsFormAndSmokeImpliesQuick)
 {
     const driver::ParsedCli cli =
-        parseOk({"--jobs=2", "--smoke", "--shard-out=/tmp/m"});
+        parseOk({"--jobs=2", "--smoke", "--cache-dir=/tmp/m"});
     EXPECT_EQ(cli.request.jobs, 2);
     EXPECT_TRUE(cli.request.smoke);
     EXPECT_TRUE(cli.request.quick);
-    EXPECT_EQ(cli.request.shardOut, "/tmp/m");
+    EXPECT_EQ(cli.request.cacheDir, "/tmp/m");
 }
 
 TEST(SweepRequestParse, RejectsUnknownOption)
@@ -153,6 +134,23 @@ TEST(SweepRequestParse, RejectsUnknownOption)
     EXPECT_NE(s.message().find("unknown option '--frobnicate'"),
               std::string::npos);
     EXPECT_NE(s.message().find("--help"), std::string::npos);
+
+    // Sharding and checkpoint/resume are gone from the family: their
+    // old flags are ordinary unknown options now.
+    for (const char *flag :
+         {"--resume", "--shards", "--shard", "--shard-out",
+          "--shard-dir", "--shard-max-seconds",
+          "--shard-heartbeat-seconds", "--shard-retries",
+          "--shard-backoff-seconds"}) {
+        SCOPED_TRACE(flag);
+        const Status removed = parseError({flag, "1"});
+        EXPECT_NE(removed.message().find("unknown option '" +
+                                         std::string(flag) + "'"),
+                  std::string::npos);
+    }
+    const Status strict = parseError({"--shard-strict"});
+    EXPECT_NE(strict.message().find("unknown option '--shard-strict'"),
+              std::string::npos);
 }
 
 TEST(SweepRequestParse, RejectsMissingValueAndBadNumbers)
@@ -160,8 +158,8 @@ TEST(SweepRequestParse, RejectsMissingValueAndBadNumbers)
     parseError({"--jobs"});
     parseError({"--jobs", "three"});
     parseError({"--jobs", "-2"});
-    parseError({"--shard-max-seconds", "-1"});
-    parseError({"--shards", "0"});
+    parseError({"--log-level", "loud"});
+    parseError({"--cache", "sometimes"});
 }
 
 TEST(SweepRequestParse, ExtraFlagsLandInExtraMap)
@@ -206,7 +204,9 @@ TEST(SweepCliHelp, ListsExtraFlagsThenStandardFamily)
     EXPECT_NE(jobs_at, std::string::npos);
     EXPECT_LT(kernel_at, jobs_at); // binary flags lead
     EXPECT_NE(text.find("--version"), std::string::npos);
-    EXPECT_NE(text.find("--resume PATH"), std::string::npos);
+    EXPECT_NE(text.find("--cache-dir PATH"), std::string::npos);
+    EXPECT_EQ(text.find("--resume"), std::string::npos);
+    EXPECT_EQ(text.find("--shard"), std::string::npos);
 }
 
 TEST(Version, ReportsRevisionAndSchemaVersions)
@@ -216,8 +216,9 @@ TEST(Version, ReportsRevisionAndSchemaVersions)
               std::string::npos);
     EXPECT_NE(v.find("bench-json"), std::string::npos);
     EXPECT_NE(v.find("warehouse v"), std::string::npos);
-    EXPECT_NE(v.find("checkpoint v"), std::string::npos);
-    EXPECT_NE(v.find("shard-manifest v"), std::string::npos);
+    EXPECT_NE(v.find("bbc-container v"), std::string::npos);
+    EXPECT_EQ(v.find("checkpoint"), std::string::npos);
+    EXPECT_EQ(v.find("shard-manifest"), std::string::npos);
 }
 
 // ---------------------------------------------------------------
@@ -252,12 +253,9 @@ TEST(DriverKernelRun, SerialRunMatchesInlineExecution)
     const RunResult inline_r = driver::executeKernel(
         Kernel::SpMV, *model, prep, EnergyModel());
     ScopedContext ctx;
-    driver::RunInfo info;
-    const RunResult driven = driver::runKernel(
-        Kernel::SpMV, *model, prep, EnergyModel(), 64, &info);
+    const RunResult driven =
+        driver::runKernel(Kernel::SpMV, *model, prep, EnergyModel());
     expectSameResult(inline_r, driven);
-    EXPECT_FALSE(info.resumed);
-    EXPECT_FALSE(info.quarantined);
 }
 
 namespace
@@ -265,18 +263,14 @@ namespace
 
 /** The shared experiment body: 3 models x 1 kernel, like a bench. */
 std::vector<RunResult>
-runThreeModels(std::vector<driver::RunInfo> *infos = nullptr)
+runThreeModels()
 {
     const driver::Prepared prep("t", genBanded(192, 8, 0.5, 3));
     const MachineConfig cfg = MachineConfig::fp64();
     std::vector<RunResult> out;
     for (const char *name : {"DS-STC", "RM-STC", "Uni-STC"}) {
         const auto model = makeStcModel(name, cfg);
-        driver::RunInfo info;
-        out.push_back(driver::runKernel(Kernel::SpMV, *model, prep,
-                                        EnergyModel(), 64, &info));
-        if (infos != nullptr)
-            infos->push_back(info);
+        out.push_back(driver::runKernel(Kernel::SpMV, *model, prep));
     }
     return out;
 }
@@ -354,7 +348,6 @@ TEST(DriverSessionTest, LineupThroughJobsMatchesPerModelRuns)
     driver::SweepRequest req;
     req.jobs = 2;
     std::vector<RunResult> driven;
-    std::vector<driver::RunInfo> infos;
     driver::DriverSession session(ctx);
     Argv argv({});
     const int rc = session.run(
@@ -363,8 +356,7 @@ TEST(DriverSessionTest, LineupThroughJobsMatchesPerModelRuns)
             const driver::Prepared prep("t",
                                         genBanded(192, 8, 0.5, 3));
             driven = driver::runKernelLineup(
-                Kernel::SpMV, models, prep, EnergyModel(), false,
-                nullptr, 64, &infos);
+                Kernel::SpMV, models, prep);
             return 0;
         });
     EXPECT_EQ(rc, 0);
@@ -372,75 +364,43 @@ TEST(DriverSessionTest, LineupThroughJobsMatchesPerModelRuns)
     for (std::size_t i = 0; i < serial.size(); ++i) {
         SCOPED_TRACE(i);
         expectSameResult(serial[i], driven[i]);
-        EXPECT_FALSE(infos[i].resumed);
-        EXPECT_FALSE(infos[i].quarantined);
     }
 }
 
 TEST(DriverSessionTest, ContextServesBackToBackSweeps)
 {
-    const std::string ck = tempPath("driver_reuse.ck");
-    std::remove(ck.c_str());
-
     driver::ExecutionContext ctx;
     driver::DriverSession session(ctx);
     Argv argv({});
 
-    // Sweep 1: checkpointing on — every job simulates and lands on
-    // the checkpoint file.
+    // Sweep 1: a --jobs 2 plan/replay run.
     driver::SweepRequest req1;
     req1.jobs = 2;
-    req1.resumePath = ck;
     std::vector<RunResult> first;
-    std::vector<driver::RunInfo> first_infos;
     EXPECT_EQ(session.run(req1, argv.argc(), argv.argv(),
                           [&](int, char **) {
-                              first = runThreeModels(&first_infos);
+                              first = runThreeModels();
                               return 0;
                           }),
               0);
-    for (const driver::RunInfo &info : first_infos)
-        EXPECT_FALSE(info.resumed);
+    EXPECT_EQ(ctx.sweepExecutor(), nullptr);
 
-    // Sweep 2, same context, resume OFF: beginRun() must have
-    // cleared the checkpoint session — nothing may be served as
-    // "resumed" from sweep 1's state.
+    // Sweep 2, same context, serial: beginRun() must have cleared
+    // sweep 1's plan/replay state, so every job simulates inline
+    // and matches sweep 1 bit for bit.
     driver::SweepRequest req2;
     std::vector<RunResult> second;
-    std::vector<driver::RunInfo> second_infos;
     EXPECT_EQ(session.run(req2, argv.argc(), argv.argv(),
                           [&](int, char **) {
-                              second = runThreeModels(&second_infos);
+                              second = runThreeModels();
                               return 0;
                           }),
               0);
-    for (const driver::RunInfo &info : second_infos)
-        EXPECT_FALSE(info.resumed);
     ASSERT_EQ(second.size(), first.size());
     for (std::size_t i = 0; i < first.size(); ++i) {
         SCOPED_TRACE(i);
         expectSameResult(first[i], second[i]);
     }
-
-    // Sweep 3, same context, resume ON again: every job must now be
-    // served from the file sweep 1 wrote, bit-identically.
-    driver::SweepRequest req3;
-    req3.resumePath = ck;
-    std::vector<RunResult> third;
-    std::vector<driver::RunInfo> third_infos;
-    EXPECT_EQ(session.run(req3, argv.argc(), argv.argv(),
-                          [&](int, char **) {
-                              third = runThreeModels(&third_infos);
-                              return 0;
-                          }),
-              0);
-    for (const driver::RunInfo &info : third_infos)
-        EXPECT_TRUE(info.resumed);
-    for (std::size_t i = 0; i < first.size(); ++i) {
-        SCOPED_TRACE(i);
-        expectSameResult(first[i], third[i]);
-    }
-    std::remove(ck.c_str());
 }
 
 TEST(DriverSessionTest, ReportingPassFlagGuardsPlanPass)

@@ -5,15 +5,12 @@
  * corruption class, a corrupted-file corpus over the BBC binary
  * format, Matrix Market parser hardening, the executor's failure
  * contract (the first failure in submission order, at any worker
- * count), and checkpoint/resume.
+ * count).
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -27,7 +24,6 @@
 #include "exec/job_spec.hh"
 #include "exec/sweep_executor.hh"
 #include "poison_model.hh"
-#include "robust/checkpoint.hh"
 #include "robust/checksum.hh"
 #include "robust/fault_inject.hh"
 #include "robust/status.hh"
@@ -40,33 +36,6 @@ using namespace unistc;
 
 namespace
 {
-
-/** Field-by-field RunResult equality (bitwise for the doubles). */
-void
-expectSameResult(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.products, b.products);
-    EXPECT_EQ(a.macSlots, b.macSlots);
-    EXPECT_EQ(a.tasksT1, b.tasksT1);
-    EXPECT_EQ(a.tasksT3, b.tasksT3);
-    EXPECT_EQ(a.stallCycles, b.stallCycles);
-    EXPECT_EQ(a.dpgActiveAccum, b.dpgActiveAccum);
-    EXPECT_EQ(a.cNetScaleAccum, b.cNetScaleAccum);
-    EXPECT_EQ(a.traffic.readsA, b.traffic.readsA);
-    EXPECT_EQ(a.traffic.wastedA, b.traffic.wastedA);
-    EXPECT_EQ(a.traffic.readsB, b.traffic.readsB);
-    EXPECT_EQ(a.traffic.wastedB, b.traffic.wastedB);
-    EXPECT_EQ(a.traffic.writesC, b.traffic.writesC);
-    EXPECT_EQ(a.energy.fetchA, b.energy.fetchA);
-    EXPECT_EQ(a.energy.fetchB, b.energy.fetchB);
-    EXPECT_EQ(a.energy.writeC, b.energy.writeC);
-    EXPECT_EQ(a.energy.schedule, b.energy.schedule);
-    EXPECT_EQ(a.energy.compute, b.energy.compute);
-    ASSERT_EQ(a.utilHist.numBuckets(), b.utilHist.numBuckets());
-    for (int i = 0; i < a.utilHist.numBuckets(); ++i)
-        EXPECT_EQ(a.utilHist.bucketCount(i), b.utilHist.bucketCount(i));
-}
 
 /** A small real matrix for corruption experiments. */
 BbcMatrix
@@ -591,130 +560,4 @@ TEST(ExecRecovery, DeterministicAcrossWorkerCountsWithFaults)
 
     EXPECT_EQ(firstFailure(1), PoisonModel::errorFor("Poison-2"));
     EXPECT_EQ(firstFailure(4), PoisonModel::errorFor("Poison-2"));
-}
-
-// ---------------------------------------------------------------------
-// Checkpoint encode/decode and resume.
-// ---------------------------------------------------------------------
-
-TEST(Checkpoint, EntryRoundTripIsBitExact)
-{
-    CheckpointEntry e;
-    e.kernel = "SpMV";
-    e.model = "Uni STC %weird%"; // spaces and escapes in names
-    e.matrix = "path/with space\tand tab";
-    e.result.cycles = 123456789;
-    e.result.products = 42;
-    e.result.traffic.readsA = 7;
-    e.result.energy.fetchA = -0.0; // signed zero survives
-    e.result.energy.fetchB = 5e-324; // denormal survives
-    e.result.energy.compute = 1.0 / 3.0;
-    e.result.utilHist = Histogram(4, 0.0, 1.0);
-    e.result.utilHist.add(0.1, 3);
-    e.result.utilHist.add(0.9, 5);
-
-    const std::string line = encodeCheckpointEntry(e);
-    EXPECT_EQ(line.find('\n'), std::string::npos);
-    Result<CheckpointEntry> back = decodeCheckpointEntry(line);
-    ASSERT_TRUE(back.ok()) << back.status().toString();
-    EXPECT_EQ(back.value().kernel, e.kernel);
-    EXPECT_EQ(back.value().model, e.model);
-    EXPECT_EQ(back.value().matrix, e.matrix);
-    expectSameResult(back.value().result, e.result);
-    EXPECT_TRUE(std::signbit(back.value().result.energy.fetchA));
-}
-
-TEST(Checkpoint, RealRunResultRoundTrips)
-{
-    const auto a = std::make_shared<const BbcMatrix>(sampleBbc());
-    JobSpec spec = tinyJob(a, "real");
-    spec.seed = 1234;
-    CheckpointEntry e;
-    e.kernel = "SpMV";
-    e.model = spec.model;
-    e.matrix = spec.matrix;
-    e.result = spec.run();
-    Result<CheckpointEntry> back =
-        decodeCheckpointEntry(encodeCheckpointEntry(e));
-    ASSERT_TRUE(back.ok()) << back.status().toString();
-    expectSameResult(back.value().result, e.result);
-}
-
-TEST(Checkpoint, DecodeRejectsMalformedLines)
-{
-    EXPECT_FALSE(decodeCheckpointEntry("").ok());
-    EXPECT_FALSE(decodeCheckpointEntry("random garbage line").ok());
-    // A valid line with one counter token chopped off.
-    CheckpointEntry e;
-    e.kernel = "SpMV";
-    e.model = "m";
-    e.matrix = "x";
-    std::string line = encodeCheckpointEntry(e);
-    line.resize(line.rfind(' '));
-    EXPECT_FALSE(decodeCheckpointEntry(line).ok());
-}
-
-TEST(Checkpoint, LoadKeepsValidPrefixOfCorruptFile)
-{
-    const std::string path =
-        ::testing::TempDir() + "/ckpt_prefix.txt";
-    {
-        CheckpointWriter w;
-        ASSERT_TRUE(w.open(path).ok());
-        CheckpointEntry e;
-        e.kernel = "SpMV";
-        e.model = "m";
-        e.matrix = "one";
-        ASSERT_TRUE(w.append(e).ok());
-        e.matrix = "two";
-        ASSERT_TRUE(w.append(e).ok());
-    }
-    // Simulate an interrupted write: half a line at the end.
-    {
-        std::ofstream out(path, std::ios::app);
-        out << "unistc-ckpt-v1 SpMV m thr";
-    }
-    Result<CheckpointLog> log = CheckpointLog::load(path);
-    ASSERT_TRUE(log.ok());
-    EXPECT_EQ(log.value().size(), 2u);
-    EXPECT_TRUE(log.value().truncated());
-    EXPECT_NE(log.value().find("SpMV", "m", "two"), nullptr);
-    std::remove(path.c_str());
-}
-
-TEST(Checkpoint, MissingFileIsAnEmptyLog)
-{
-    Result<CheckpointLog> log =
-        CheckpointLog::load("/nonexistent/dir/ck.txt");
-    ASSERT_TRUE(log.ok());
-    EXPECT_TRUE(log.value().empty());
-    EXPECT_FALSE(log.value().truncated());
-}
-
-TEST(Checkpoint, DuplicateKeysResolveByOccurrence)
-{
-    const std::string path = ::testing::TempDir() + "/ckpt_dup.txt";
-    std::remove(path.c_str());
-    {
-        CheckpointWriter w;
-        ASSERT_TRUE(w.open(path).ok());
-        CheckpointEntry e;
-        e.kernel = "SpMV";
-        e.model = "m";
-        e.matrix = "same";
-        e.result.cycles = 100;
-        ASSERT_TRUE(w.append(e).ok());
-        e.result.cycles = 200;
-        ASSERT_TRUE(w.append(e).ok());
-    }
-    Result<CheckpointLog> log = CheckpointLog::load(path);
-    ASSERT_TRUE(log.ok());
-    ASSERT_EQ(log.value().size(), 2u);
-    EXPECT_EQ(log.value().find("SpMV", "m", "same", 0)->result.cycles,
-              100u);
-    EXPECT_EQ(log.value().find("SpMV", "m", "same", 1)->result.cycles,
-              200u);
-    EXPECT_EQ(log.value().find("SpMV", "m", "same", 2), nullptr);
-    EXPECT_EQ(log.value().find("SpMV", "m", "other"), nullptr);
-    std::remove(path.c_str());
 }

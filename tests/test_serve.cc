@@ -460,21 +460,38 @@ TEST(ServeCore, RefusesFlagsTheWireCannotCarry)
 {
     serve::ServeCore core{serve::ServeOptions{}};
 
-    std::vector<std::string> sharded = tinyArgv();
-    sharded.insert(sharded.end(), {"--shards", "2"});
+    std::vector<std::string> smoke = tinyArgv();
+    smoke.push_back("--smoke");
     const driver::WireResponse resp =
-        core.submit(runRequest("r1", sharded));
+        core.submit(runRequest("r1", smoke));
     EXPECT_EQ(resp.status, "error");
     EXPECT_EQ(resp.exitCode, 1);
     EXPECT_NE(resp.error.find("serve wire"), std::string::npos)
         << resp.error;
 
-    std::vector<std::string> smoke = tinyArgv();
-    smoke.push_back("--smoke");
-    EXPECT_EQ(core.submit(runRequest("r2", smoke)).status, "error");
+    std::vector<std::string> stats = tinyArgv();
+    stats.insert(stats.end(), {"--stats-json", "s.json"});
+    EXPECT_EQ(core.submit(runRequest("r2", stats)).status, "error");
+
+    // --shards is no option at all any more: the parser rejects it
+    // as unknown, which counts as malformed, not as unsupported.
+    std::vector<std::string> sharded = tinyArgv();
+    sharded.insert(sharded.end(), {"--shards", "2"});
+    const driver::WireResponse unknown =
+        core.submit(runRequest("r3", sharded));
+    EXPECT_EQ(unknown.status, "error");
+    EXPECT_NE(unknown.error.find("unknown option"), std::string::npos)
+        << unknown.error;
 
     const auto counters = core.counterSnapshot();
     EXPECT_EQ(counters.at("robust.serve_rejected_unsupported"), 2u);
+    EXPECT_EQ(counters.at("robust.serve_rejected_malformed"), 1u);
+
+    // The core keeps answering after all three refusals.
+    driver::WireRequest ping;
+    ping.id = "p";
+    ping.op = "ping";
+    EXPECT_EQ(core.submit(ping).status, "ok");
 }
 
 TEST(ServeCore, MalformedArgvIsAnErrorNotACrash)

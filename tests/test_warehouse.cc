@@ -224,6 +224,10 @@ TEST_F(WarehouseTest, WriteFinalizeReadBack)
     writer->noteCounter("cache.hits", 3);
     writer->noteCounter("cache.hits", 4);
     writer->noteCounter("cache.misses", 2);
+    // Runs recorded by the since-removed --shards supervisor carry
+    // robust.shard_* counters in META; they must keep loading.
+    writer->noteCounter("robust.shard_count", 3);
+    writer->noteCounter("robust.shard_quarantined", 1);
     ASSERT_TRUE(writer->finalize().ok());
     const std::string id = writer->runId();
     writer.reset();
@@ -242,6 +246,8 @@ TEST_F(WarehouseTest, WriteFinalizeReadBack)
     ASSERT_EQ(metas[0].counters.count("cache.hits"), 1u);
     EXPECT_EQ(metas[0].counters.at("cache.hits"), 7u);
     EXPECT_EQ(metas[0].counters.at("cache.misses"), 2u);
+    EXPECT_EQ(metas[0].counters.at("robust.shard_count"), 3u);
+    EXPECT_EQ(metas[0].counters.at("robust.shard_quarantined"), 1u);
     ASSERT_EQ(metas[0].env.size(), 1u);
     EXPECT_EQ(metas[0].env[0].first, "UNISTC_SMOKE");
 
