@@ -1,10 +1,10 @@
 # End-to-end gate for the execution driver (src/driver/): the shared
 # SweepRequest parser must resolve environment wiring (UNISTC_JOBS)
 # exactly like the explicit flag, and the full acceptance combo —
-# warm artifact cache, --jobs 2, warehouse mirroring — must reproduce
-# the committed pre-refactor goldens (bench/golden/tab08_smoke) byte
-# for byte: stdout, the UNISTC_BENCH_JSON dump and every warehouse
-# row file. Driven by ctest (see CMakeLists.txt):
+# --jobs 2 with warehouse mirroring — must reproduce the committed
+# pre-refactor goldens (bench/golden/tab08_smoke) byte for byte:
+# stdout, the UNISTC_BENCH_JSON dump and every warehouse row file.
+# Driven by ctest (see CMakeLists.txt):
 #
 #   cmake -DBENCH=<binary> -DGOLDEN_DIR=<bench/golden/tab08_smoke> \
 #         -DWORKDIR=<scratch dir> -P driver_determinism.cmake
@@ -51,14 +51,11 @@ foreach(a txt json)
                 "--jobs 2 vs UNISTC_JOBS=2 (${a})")
 endforeach()
 
-# The acceptance combo against the committed pre-refactor goldens: a
-# cold pass warms the artifact cache, then the real run fans out over
-# two worker threads with the warehouse mirroring on.
-set(ENV{UNISTC_CACHE_DIR} ${WORKDIR}/cache)
-run_bench(cold)
+# The acceptance combo against the committed pre-refactor goldens:
+# the run fans out over two worker threads with the warehouse
+# mirroring on.
 set(ENV{UNISTC_WAREHOUSE_DIR} ${WORKDIR}/wh)
 run_bench(combo --jobs 2)
-unset(ENV{UNISTC_CACHE_DIR})
 unset(ENV{UNISTC_WAREHOUSE_DIR})
 
 expect_same(${WORKDIR}/combo.txt ${GOLDEN_DIR}/stdout.txt
@@ -73,5 +70,5 @@ foreach(f ${rows})
 endforeach()
 
 message(STATUS "environment wiring matches the explicit flag; the "
-               "jobs+cache+warehouse combo reproduces the "
+               "jobs+warehouse combo reproduces the "
                "pre-refactor goldens byte for byte")

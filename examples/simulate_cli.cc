@@ -11,8 +11,7 @@
  * Built on the execution driver (src/driver/): the experiment is a
  * plain serial body handed to a DriverSession, which supplies the
  * whole standard execution family — --jobs plan/replay sweeps
- * (docs/PARALLELISM.md), the matrix artifact cache flags
- * (docs/CACHING.md), --log-level, --help and --version — with
+ * (docs/PARALLELISM.md), --log-level, --help and --version — with
  * byte-identical output across worker counts.
  *
  * The experiment parser and body live in src/serve/sim_service.hh,

@@ -32,13 +32,6 @@ namespace unistc
 namespace driver
 {
 
-/**
- * One-line cache summary on stderr after a cached run (stdout stays
- * untouched: the determinism tests cmp it byte for byte). A warm run
- * over an unchanged corpus reports "0 miss(es)".
- */
-void logCacheSummary();
-
 /** Orchestrates one request over one ExecutionContext. */
 class DriverSession
 {

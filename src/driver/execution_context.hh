@@ -111,9 +111,8 @@ class ExecutionContext
 
     /**
      * Reset per-run session state (sweep mode and cursor, reporting
-     * pass) so a long-lived context can serve another request. Recorded results are kept — the log spans the
-     * process — and the matrix cache, a process-wide resource, is
-     * untouched.
+     * pass) so a long-lived context can serve another request.
+     * Recorded results are kept: the log spans the process.
      */
     void beginRun();
 

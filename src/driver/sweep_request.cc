@@ -53,12 +53,6 @@ const StdFlag kStdFlags[] = {
      "worker threads, 0/'auto' = all cores (also UNISTC_JOBS)"},
     {"log-level", true, "LEVEL",
      "debug|info|warn|error|silent (or 0-4)"},
-    {"cache-dir", true, "PATH",
-     "content-addressed matrix artifact cache directory (also "
-     "UNISTC_CACHE_DIR; docs/CACHING.md)"},
-    {"cache", true, "MODE",
-     "off | ro | rw (default rw when a cache dir is set; also "
-     "UNISTC_CACHE)"},
 };
 
 const StdFlag *
@@ -112,17 +106,6 @@ applyStdFlag(SweepRequest &req, const std::string &name,
         }
         req.logLevelSet = true;
         req.logLevel = level;
-    } else if (name == "cache-dir") {
-        req.cacheFlagged = true;
-        req.cacheDir = value;
-    } else if (name == "cache") {
-        CacheMode mode = CacheMode::ReadWrite;
-        if (!parseCacheMode(value, mode)) {
-            return optError("unknown --cache '" + value +
-                            "' (use off|ro|rw)");
-        }
-        req.cacheFlagged = true;
-        req.cacheMode = mode;
     }
     return Status();
 }

@@ -31,27 +31,6 @@ tempDir()
 }
 
 Result<std::string>
-makeTempDir(const std::string &prefix)
-{
-#if UNISTC_TMPDIR_POSIX
-    std::string tmpl = tempDir() + "/" + prefix + "XXXXXX";
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    if (::mkdtemp(buf.data()) == nullptr) {
-        return Result<std::string>(
-            ioError("mkdtemp '" + tmpl + "': " +
-                    std::strerror(errno) +
-                    " (is $TMPDIR writable?)"));
-    }
-    return Result<std::string>(std::string(buf.data()));
-#else
-    (void)prefix;
-    return Result<std::string>(
-        internalError("makeTempDir needs a POSIX host"));
-#endif
-}
-
-Result<std::string>
 makeTempFile(const std::string &prefix, int *fdOut)
 {
 #if UNISTC_TMPDIR_POSIX

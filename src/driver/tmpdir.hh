@@ -26,13 +26,6 @@ namespace driver
 std::string tempDir();
 
 /**
- * mkdtemp() a fresh private directory named @p prefix + "XXXXXX"
- * under tempDir(). Returns the created path, or a typed error when
- * the scratch root is not writable.
- */
-Result<std::string> makeTempDir(const std::string &prefix);
-
-/**
  * mkstemp() a fresh private file named @p prefix + "XXXXXX" under
  * tempDir(); on success *fdOut holds the open descriptor (O_RDWR)
  * and the path is returned. Callers own both.

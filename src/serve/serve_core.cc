@@ -272,8 +272,6 @@ ServeCore::parseJobLocked(Job &job)
         refused = "--help/--version";
     else if (job.cli.request.smoke)
         refused = "--smoke";
-    else if (job.cli.request.cacheFlagged)
-        refused = "--cache-dir/--cache";
     else if (job.cli.extra.count("save-bbc"))
         refused = "--save-bbc";
     else if (job.cli.extra.count("trace") ||

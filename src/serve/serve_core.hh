@@ -17,9 +17,8 @@
  *    byte-identical to a one-shot simulate_cli run by construction;
  *  - a fresh ExecutionContext of its own, dropped with the response,
  *    so nothing a request leaves behind outlives it;
- *  - the daemon's hot caches: an LRU of Prepared matrices (decoded
- *    CSR + BBC fingerprints) shared across clients, and the
- *    process-wide MatrixCache;
+ *  - the daemon's hot cache: an LRU of Prepared matrices (decoded
+ *    CSR + BBC fingerprints) shared across clients;
  *  - batching: compatible queued requests (same matrix, kernel and
  *    machine config) are pre-computed in ONE shared KernelPipeline
  *    lineup pass, and each request's body splices its models' results

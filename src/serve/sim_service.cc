@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "bbc/bbc_io.hh"
-#include "cache/matrix_cache.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/table.hh"
@@ -348,29 +347,10 @@ simulateBody(const Experiment &ex, ServeHooks *hooks)
         engine_counters.registerStats(stats, "engine.",
                                       /*includeTiming=*/false);
     }
-    if (MatrixCache::global().enabled())
-        MatrixCache::global().registerStats(stats);
-
     // Reporting artifacts (trace, stats JSON) are written exactly
     // once, by the reporting pass — never by the silenced plan pass.
     if (ctx.reportingPass()) {
         const TraceSink *trace = ctx.runTrace();
-        // Splice the cache's per-key resolution spans (its own trace
-        // process) into the model trace before writing it out.
-        std::unique_ptr<TraceSink> trace_with_cache;
-        if (trace != nullptr && MatrixCache::global().enabled()) {
-            const std::size_t extra =
-                MatrixCache::global().keyTimings().size();
-            if (extra > 0) {
-                trace_with_cache = std::make_unique<TraceSink>(
-                    trace->size() + extra);
-                trace_with_cache->mergeFrom(*trace);
-                MatrixCache::global().appendTraceEvents(
-                    *trace_with_cache,
-                    static_cast<int>(ex.names.size()));
-                trace = trace_with_cache.get();
-            }
-        }
         const bool wrote_trace =
             trace != nullptr && opts.count("trace") != 0;
         if (wrote_trace) {

@@ -77,7 +77,7 @@ class BenchSink
                       const PipelineCounters &counters, bool timed);
 
     /**
-     * Seal the run: snapshot the matrix-cache counters, commit.
+     * Seal the run: commit it.
      * Registered atexit by configure(); idempotent. A crash before
      * this point leaves the incrementally-flushed rows readable.
      */

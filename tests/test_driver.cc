@@ -99,33 +99,26 @@ TEST(SweepRequestParse, DefaultsAreSerialAndUnsharded)
     EXPECT_FALSE(cli.request.smoke);
     EXPECT_EQ(cli.request.jobs, 1);
     EXPECT_FALSE(cli.request.logLevelSet);
-    EXPECT_FALSE(cli.request.cacheFlagged);
     EXPECT_TRUE(cli.extra.empty());
 }
 
 TEST(SweepRequestParse, StandardFamilyRoundTrips)
 {
-    const driver::ParsedCli cli = parseOk(
-        {"--quick", "--jobs", "3", "--log-level", "warn",
-         "--cache-dir", "/tmp/cache", "--cache", "ro"});
+    const driver::ParsedCli cli =
+        parseOk({"--quick", "--jobs", "3", "--log-level", "warn"});
     const driver::SweepRequest &req = cli.request;
     EXPECT_TRUE(req.quick);
     EXPECT_EQ(req.jobs, 3);
     EXPECT_TRUE(req.logLevelSet);
     EXPECT_EQ(req.logLevel, LogLevel::Warn);
-    EXPECT_TRUE(req.cacheFlagged);
-    EXPECT_EQ(req.cacheDir, "/tmp/cache");
-    EXPECT_EQ(req.cacheMode, CacheMode::ReadOnly);
 }
 
 TEST(SweepRequestParse, EqualsFormAndSmokeImpliesQuick)
 {
-    const driver::ParsedCli cli =
-        parseOk({"--jobs=2", "--smoke", "--cache-dir=/tmp/m"});
+    const driver::ParsedCli cli = parseOk({"--jobs=2", "--smoke"});
     EXPECT_EQ(cli.request.jobs, 2);
     EXPECT_TRUE(cli.request.smoke);
     EXPECT_TRUE(cli.request.quick);
-    EXPECT_EQ(cli.request.cacheDir, "/tmp/m");
 }
 
 TEST(SweepRequestParse, RejectsUnknownOption)
@@ -135,13 +128,14 @@ TEST(SweepRequestParse, RejectsUnknownOption)
               std::string::npos);
     EXPECT_NE(s.message().find("--help"), std::string::npos);
 
-    // Sharding and checkpoint/resume are gone from the family: their
-    // old flags are ordinary unknown options now.
+    // Sharding, checkpoint/resume and the matrix artifact cache are
+    // gone from the family: their old flags are ordinary unknown
+    // options now.
     for (const char *flag :
          {"--resume", "--shards", "--shard", "--shard-out",
           "--shard-dir", "--shard-max-seconds",
           "--shard-heartbeat-seconds", "--shard-retries",
-          "--shard-backoff-seconds"}) {
+          "--shard-backoff-seconds", "--cache-dir", "--cache"}) {
         SCOPED_TRACE(flag);
         const Status removed = parseError({flag, "1"});
         EXPECT_NE(removed.message().find("unknown option '" +
@@ -159,7 +153,6 @@ TEST(SweepRequestParse, RejectsMissingValueAndBadNumbers)
     parseError({"--jobs", "three"});
     parseError({"--jobs", "-2"});
     parseError({"--log-level", "loud"});
-    parseError({"--cache", "sometimes"});
 }
 
 TEST(SweepRequestParse, ExtraFlagsLandInExtraMap)
@@ -204,7 +197,7 @@ TEST(SweepCliHelp, ListsExtraFlagsThenStandardFamily)
     EXPECT_NE(jobs_at, std::string::npos);
     EXPECT_LT(kernel_at, jobs_at); // binary flags lead
     EXPECT_NE(text.find("--version"), std::string::npos);
-    EXPECT_NE(text.find("--cache-dir PATH"), std::string::npos);
+    EXPECT_EQ(text.find("--cache"), std::string::npos);
     EXPECT_EQ(text.find("--resume"), std::string::npos);
     EXPECT_EQ(text.find("--shard"), std::string::npos);
 }

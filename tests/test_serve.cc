@@ -22,6 +22,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -43,6 +44,24 @@ namespace unistc
 {
 namespace
 {
+
+namespace fs = std::filesystem;
+
+/** Fresh, empty scratch directory named after the running test. */
+std::string
+freshTestDir()
+{
+    const std::string dir =
+        (fs::temp_directory_path() /
+         ("unistc_serve_test_" +
+          std::string(::testing::UnitTest::GetInstance()
+                          ->current_test_info()
+                          ->name())))
+            .string();
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    return dir;
+}
 
 // ---------------------------------------------------------------
 // Satellite: UNISTC_WAREHOUSE_FSYNC validation (warehouse/sink.cc)
@@ -105,22 +124,13 @@ class ScopedEnv
 
 TEST(Tmpdir, HonorsTmpdirEnvAndTrimsTrailingSlashes)
 {
-    Result<std::string> scratch =
-        driver::makeTempDir("unistc-test-tmpdir-");
-    ASSERT_TRUE(scratch.ok()) << scratch.status().message();
-    const std::string root = scratch.value();
+    std::string tmpl = driver::tempDir() + "/unistc-test-tmpdir-XXXXXX";
+    ASSERT_NE(::mkdtemp(tmpl.data()), nullptr) << tmpl;
+    const std::string root = tmpl;
 
     {
         ScopedEnv env("TMPDIR", (root + "///").c_str());
         EXPECT_EQ(driver::tempDir(), root);
-
-        Result<std::string> inner =
-            driver::makeTempDir("unistc-test-inner-");
-        ASSERT_TRUE(inner.ok()) << inner.status().message();
-        EXPECT_EQ(inner.value().rfind(root + "/unistc-test-inner-",
-                                      0),
-                  0u)
-            << inner.value();
 
         int fd = -1;
         Result<std::string> file =
@@ -141,6 +151,7 @@ TEST(Tmpdir, HonorsTmpdirEnvAndTrimsTrailingSlashes)
         ScopedEnv empty("TMPDIR", "");
         EXPECT_EQ(driver::tempDir(), "/tmp");
     }
+    ::rmdir(root.c_str());
 }
 
 // ---------------------------------------------------------------
@@ -149,16 +160,14 @@ TEST(Tmpdir, HonorsTmpdirEnvAndTrimsTrailingSlashes)
 
 TEST(Warehouse, RunIdExhaustionIsATypedError)
 {
-    Result<std::string> dir =
-        driver::makeTempDir("unistc-test-wh-");
-    ASSERT_TRUE(dir.ok()) << dir.status().message();
+    const std::string dir = freshTestDir();
     // Occupy the last slot of the fixed 6-digit id space; the next
     // allocation must fail loudly instead of minting a 7-digit id
     // that every future scan would ignore.
-    ASSERT_EQ(::mkdir((dir.value() + "/999999").c_str(), 0755), 0);
+    ASSERT_EQ(::mkdir((dir + "/999999").c_str(), 0755), 0);
 
     warehouse::RunWriterOptions opt;
-    opt.dir = dir.value();
+    opt.dir = dir;
     opt.bench = "serve_tests";
     auto writer = warehouse::RunWriter::open(opt);
     ASSERT_FALSE(writer.ok());
@@ -168,6 +177,7 @@ TEST(Warehouse, RunIdExhaustionIsATypedError)
     EXPECT_NE(writer.status().message().find("999999"),
               std::string::npos)
         << writer.status().message();
+    fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------
@@ -473,8 +483,9 @@ TEST(ServeCore, RefusesFlagsTheWireCannotCarry)
     stats.insert(stats.end(), {"--stats-json", "s.json"});
     EXPECT_EQ(core.submit(runRequest("r2", stats)).status, "error");
 
-    // --shards is no option at all any more: the parser rejects it
-    // as unknown, which counts as malformed, not as unsupported.
+    // --shards and --cache-dir are no options at all any more: the
+    // parser rejects them as unknown, which counts as malformed, not
+    // as unsupported.
     std::vector<std::string> sharded = tinyArgv();
     sharded.insert(sharded.end(), {"--shards", "2"});
     const driver::WireResponse unknown =
@@ -483,11 +494,19 @@ TEST(ServeCore, RefusesFlagsTheWireCannotCarry)
     EXPECT_NE(unknown.error.find("unknown option"), std::string::npos)
         << unknown.error;
 
+    std::vector<std::string> cached = tinyArgv();
+    cached.insert(cached.end(), {"--cache-dir", "x"});
+    const driver::WireResponse noCache =
+        core.submit(runRequest("r4", cached));
+    EXPECT_EQ(noCache.status, "error");
+    EXPECT_NE(noCache.error.find("unknown option"), std::string::npos)
+        << noCache.error;
+
     const auto counters = core.counterSnapshot();
     EXPECT_EQ(counters.at("robust.serve_rejected_unsupported"), 2u);
-    EXPECT_EQ(counters.at("robust.serve_rejected_malformed"), 1u);
+    EXPECT_EQ(counters.at("robust.serve_rejected_malformed"), 2u);
 
-    // The core keeps answering after all three refusals.
+    // The core keeps answering after all four refusals.
     driver::WireRequest ping;
     ping.id = "p";
     ping.op = "ping";
@@ -522,10 +541,8 @@ TEST(ServeCore, MalformedArgvIsAnErrorNotACrash)
 
 TEST(ManualSink, OneCommittedWarehouseRunPerRequest)
 {
-    Result<std::string> dir =
-        driver::makeTempDir("unistc-test-manual-wh-");
-    ASSERT_TRUE(dir.ok()) << dir.status().message();
-    ScopedEnv env("UNISTC_WAREHOUSE_DIR", dir.value().c_str());
+    const std::string dir = freshTestDir();
+    ScopedEnv env("UNISTC_WAREHOUSE_DIR", dir.c_str());
 
     warehouse::BenchSink &sink = warehouse::BenchSink::instance();
     sink.setManual(true);
@@ -549,16 +566,17 @@ TEST(ManualSink, OneCommittedWarehouseRunPerRequest)
 
     // Both runs committed: COMMIT marker present.
     for (const char *run : {"000001", "000002"}) {
-        std::ifstream commit(dir.value() + "/" + run + "/COMMIT");
+        std::ifstream commit(dir + "/" + run + "/COMMIT");
         EXPECT_TRUE(commit.good()) << run;
     }
     // The commit record carries the per-request label + counters.
-    std::ifstream meta(dir.value() + "/000001/META");
+    std::ifstream meta(dir + "/000001/META");
     std::ostringstream metaBytes;
     metaBytes << meta.rdbuf();
     EXPECT_NE(metaBytes.str().find("req-label"), std::string::npos);
     EXPECT_NE(metaBytes.str().find("robust.serve_accepted"),
               std::string::npos);
+    fs::remove_all(dir);
 }
 
 } // namespace

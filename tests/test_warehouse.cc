@@ -565,8 +565,9 @@ TEST(WarehouseQuery, CheckRegressionsDetects2xSlowdown)
             cyclesRegressed = c.verdict == Verdict::Regressed;
             EXPECT_NEAR(c.summary.geomean, 2.0, 1e-9);
         }
-        if (c.metric == "energy" && c.scope == "all")
+        if (c.metric == "energy" && c.scope == "all") {
             EXPECT_EQ(c.verdict, Verdict::Ok);
+        }
     }
     EXPECT_TRUE(cyclesRegressed);
 
@@ -697,21 +698,6 @@ TEST_F(WarehouseTest, TrendAndDriftOverTwoRuns)
         EXPECT_EQ(d.family, "rand_d2");
         EXPECT_DOUBLE_EQ(d.lastUtil, d.firstUtil);
     }
-}
-
-TEST_F(WarehouseTest, CacheRatesFromMetaCounters)
-{
-    auto w = RunWriter::open(options());
-    ASSERT_TRUE(w.ok());
-    w.value()->noteCounter("cache.hits", 30);
-    w.value()->noteCounter("cache.misses", 10);
-    ASSERT_TRUE((*w.value()).finalize().ok());
-
-    const auto rates = cacheRates(WarehouseReader(dir_), "");
-    ASSERT_EQ(rates.size(), 1u);
-    EXPECT_EQ(rates[0].hits, 30u);
-    EXPECT_EQ(rates[0].misses, 10u);
-    EXPECT_NEAR(rates[0].hitRate, 0.75, 1e-12);
 }
 
 } // namespace
