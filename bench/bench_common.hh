@@ -15,7 +15,7 @@
  *   --quick    shrink workloads (also UNISTC_BENCH_QUICK)
  *   --smoke    tiny corpus for ctest smoke runs (implies --quick)
  *   --jobs N   fan runKernel() simulations across N worker threads
- *              (also UNISTC_JOBS; N = 0 or "auto" uses every core)
+ *              (N = 0 or "auto" uses every core)
  *
  * Bodies write their report text through driver::report()/reportf()
  * (the execution context's sink), never to stdout directly: the sink
@@ -23,8 +23,9 @@
  *
  * How --jobs works (docs/PARALLELISM.md): the bench body runs twice.
  * The *plan* pass runs with report text dropped and the log level
- * raised; every runKernel() call records a JobSpec — model clone,
- * shared BBC operands, energy parameters — submits it to the thread
+ * raised; every runKernel() call records a JobSpec — a one-model
+ * lineup of the model's clone, shared BBC operands, energy
+ * parameters — submits it to the thread
  * pool (which starts simulating immediately) and returns a sentinel
  * RunResult. After a barrier, the *replay* pass re-runs the body
  * serially; each runKernel() call now returns the precomputed result
@@ -75,7 +76,6 @@ namespace bench
 {
 
 // The bench-facing surface, re-exported from the driver library.
-using driver::executeKernel;
 using driver::Prepared;
 using driver::runKernel;
 using driver::runKernelLineup;

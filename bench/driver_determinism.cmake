@@ -1,9 +1,8 @@
-# End-to-end gate for the execution driver (src/driver/): the shared
-# SweepRequest parser must resolve environment wiring (UNISTC_JOBS)
-# exactly like the explicit flag, and the full acceptance combo —
-# --jobs 2 with warehouse mirroring — must reproduce the committed
-# pre-refactor goldens (bench/golden/tab08_smoke) byte for byte:
-# stdout, the UNISTC_BENCH_JSON dump and every warehouse row file.
+# End-to-end gate for the execution driver (src/driver/): the full
+# acceptance combo — --jobs 2 with warehouse mirroring — must
+# reproduce the committed pre-refactor goldens
+# (bench/golden/tab08_smoke) byte for byte: stdout, the
+# UNISTC_BENCH_JSON dump and every warehouse row file.
 # Driven by ctest (see CMakeLists.txt):
 #
 #   cmake -DBENCH=<binary> -DGOLDEN_DIR=<bench/golden/tab08_smoke> \
@@ -41,16 +40,6 @@ function(expect_same a b what)
     endif()
 endfunction()
 
-# --jobs 2 and UNISTC_JOBS=2 must land on the same request.
-run_bench(jobs_flag --jobs 2)
-set(ENV{UNISTC_JOBS} 2)
-run_bench(jobs_env)
-unset(ENV{UNISTC_JOBS})
-foreach(a txt json)
-    expect_same(${WORKDIR}/jobs_flag.${a} ${WORKDIR}/jobs_env.${a}
-                "--jobs 2 vs UNISTC_JOBS=2 (${a})")
-endforeach()
-
 # The acceptance combo against the committed pre-refactor goldens:
 # the run fans out over two worker threads with the warehouse
 # mirroring on.
@@ -69,6 +58,5 @@ foreach(f ${rows})
                 "warehouse row file ${f} vs pre-refactor golden")
 endforeach()
 
-message(STATUS "environment wiring matches the explicit flag; the "
-               "jobs+warehouse combo reproduces the "
+message(STATUS "the jobs+warehouse combo reproduces the "
                "pre-refactor goldens byte for byte")

@@ -88,17 +88,6 @@ class ExecutionContext
     void captureReport(std::string *buffer) { capture_ = buffer; }
 
     /**
-     * The live sweep executor (null outside a --jobs run). Valid
-     * through the replay pass: front-ends read pipeline counters
-     * and the merged trace while reporting.
-     */
-    const SweepExecutor *
-    sweepExecutor() const
-    {
-        return sweep_.executor();
-    }
-
-    /**
      * The run's trace: the sweep executor's merged per-job trace
      * during replay, null otherwise.
      */

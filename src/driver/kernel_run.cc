@@ -2,32 +2,49 @@
 
 #include "common/logging.hh"
 #include "driver/execution_context.hh"
-#include "runner/spgemm_runner.hh"
-#include "runner/spmm_runner.hh"
-#include "runner/spmspv_runner.hh"
-#include "runner/spmv_runner.hh"
+#include "runner/block_driver.hh"
 
 namespace unistc
 {
 namespace driver
 {
 
-RunResult
-executeKernel(Kernel kernel, const StcModel &model, const Prepared &p,
-              const EnergyModel &energy, int bCols)
+namespace
 {
-    switch (kernel) {
-      case Kernel::SpMV:
-        return runSpmv(model, p.bbc, energy);
-      case Kernel::SpMSpV:
-        return runSpmspv(model, p.bbc, p.x50, energy);
-      case Kernel::SpMM:
-        return runSpmm(model, p.bbc, bCols, energy);
-      case Kernel::SpGEMM:
-        return runSpgemm(model, p.bbc, p.bbc, energy);
+
+/**
+ * One lineup pass under @p session: submitted as one job (sentinel
+ * results) on the plan pass, spliced in from that job on replay,
+ * simulated inline over one shared task stream otherwise.
+ */
+std::vector<RunResult>
+runLineup(SweepSession &session, Kernel kernel,
+          const std::vector<const StcModel *> &models,
+          const Prepared &p, const EnergyModel &energy, int bCols,
+          PipelineCounters *counters)
+{
+    switch (session.mode()) {
+      case SweepSession::Mode::Plan:
+        return session.planLineup(kernel, models, p, energy, bCols);
+      case SweepSession::Mode::Replay:
+        return session.replayLineup(kernel, models, p, counters);
+      case SweepSession::Mode::Off:
+        break;
     }
-    UNISTC_PANIC("executeKernel: unknown kernel");
+    PlanInputs in;
+    in.a = &p.bbc;
+    in.b = &p.bbc; // SpGEMM: C = A * A.
+    in.x = &p.x50;
+    in.bCols = bCols;
+    const KernelPlanPtr plan = makeKernelPlan(kernel, in);
+    std::vector<KernelPipeline::ModelSlot> slots;
+    slots.reserve(models.size());
+    for (const StcModel *m : models)
+        slots.push_back({m, nullptr});
+    return KernelPipeline::run(*plan, slots, energy, counters);
 }
+
+} // namespace
 
 RunResult
 runKernel(Kernel kernel, const StcModel &model, const Prepared &p,
@@ -35,14 +52,11 @@ runKernel(Kernel kernel, const StcModel &model, const Prepared &p,
 {
     ExecutionContext &ctx = ExecutionContext::active();
     SweepSession &session = ctx.sweep();
-    if (session.mode() == SweepSession::Mode::Plan)
-        return session.plan(kernel, model, p, energy, bCols);
-
-    const RunResult res =
-        session.mode() == SweepSession::Mode::Replay
-            ? session.replay(kernel, model, p)
-            : executeKernel(kernel, model, p, energy, bCols);
-    ctx.results().record(kernel, model.name(), p.name, res);
+    const RunResult res = runLineup(session, kernel, {&model}, p,
+                                    energy, bCols, nullptr)
+                              .front();
+    if (session.mode() != SweepSession::Mode::Plan)
+        ctx.results().record(kernel, model.name(), p.name, res);
     return res;
 }
 
@@ -58,33 +72,15 @@ runKernelLineup(Kernel kernel,
     UNISTC_ASSERT(!models.empty(),
                   "runKernelLineup needs at least one model");
 
-    if (session.mode() == SweepSession::Mode::Plan) {
-        if (counters_out != nullptr)
-            *counters_out = PipelineCounters{};
-        return session.planLineup(kernel, models, p, energy, bCols);
-    }
-
     PipelineCounters counters;
-    std::vector<RunResult> results;
-    if (session.mode() == SweepSession::Mode::Replay) {
-        results = session.replayLineup(kernel, models, p, &counters);
-    } else {
-        PlanInputs in;
-        in.a = &p.bbc;
-        in.b = &p.bbc; // SpGEMM: C = A * A, like runKernel().
-        in.x = &p.x50;
-        in.bCols = bCols;
-        const KernelPlanPtr plan = makeKernelPlan(kernel, in);
-        std::vector<KernelPipeline::ModelSlot> slots;
-        slots.reserve(models.size());
-        for (const StcModel *m : models)
-            slots.push_back({m, nullptr});
-        results = KernelPipeline::run(*plan, slots, energy, &counters);
-    }
-    ctx.results().recordEngine(kernel, p.name, counters, record_timing);
+    std::vector<RunResult> results = runLineup(
+        session, kernel, models, p, energy, bCols, &counters);
     if (counters_out != nullptr)
         *counters_out = counters;
+    if (session.mode() == SweepSession::Mode::Plan)
+        return results;
 
+    ctx.results().recordEngine(kernel, p.name, counters, record_timing);
     for (std::size_t m = 0; m < models.size(); ++m) {
         ctx.results().record(kernel, models[m]->name(), p.name,
                              results[m]);

@@ -58,14 +58,11 @@ struct Prepared
     }
 };
 
-/** Inline (in-process, serial) execution of one kernel. */
-RunResult executeKernel(Kernel kernel, const StcModel &model,
-                        const Prepared &p, const EnergyModel &energy,
-                        int bCols = 64);
-
 /**
  * Run one of the four kernels on a prepared matrix through the
- * current ExecutionContext (plan/replay aware under --jobs).
+ * current ExecutionContext (plan/replay aware under --jobs): a
+ * one-model runKernelLineup() that records only the model's
+ * ResultLog entry, no "engine" entry. SpGEMM computes C = A * A.
  * @p bCols is the dense-B width for SpMM (the paper fixes 64).
  */
 RunResult runKernel(Kernel kernel, const StcModel &model,
@@ -80,7 +77,7 @@ RunResult runKernel(Kernel kernel, const StcModel &model,
  * (kernel, matrix) no matter how many models run, and each returned
  * RunResult (lineup order) is bit-identical to a one-model
  * runKernel() call. Under --jobs the whole lineup rides as one
- * multi-model job. Records per-model ResultLog entries plus one
+ * job. Records per-model ResultLog entries plus one
  * "engine" entry with the pass's counters; @p record_timing
  * additionally publishes the enumerate-vs-model wall-time split
  * (non-deterministic across runs, so only tab07's evidence path opts

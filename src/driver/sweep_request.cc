@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "exec/sweep_executor.hh"
 #include "exec/thread_pool.hh"
 
 namespace unistc
@@ -14,6 +13,9 @@ namespace driver
 
 namespace
 {
+
+/** Most worker threads --jobs may ask for. */
+constexpr long kMaxJobs = 1024;
 
 Status
 optError(const std::string &message)
@@ -50,7 +52,7 @@ const StdFlag kStdFlags[] = {
     {"smoke", false, "",
      "tiny corpus for ctest smoke runs (implies --quick)"},
     {"jobs", true, "N",
-     "worker threads, 0/'auto' = all cores (also UNISTC_JOBS)"},
+     "worker threads, 0/'auto' = all cores (at most 1024)"},
     {"log-level", true, "LEVEL",
      "debug|info|warn|error|silent (or 0-4)"},
 };
@@ -79,7 +81,7 @@ findExtraFlag(const std::vector<CliFlag> &extra,
 /** Apply one standard flag value onto the request being built. */
 Status
 applyStdFlag(SweepRequest &req, const std::string &name,
-             const std::string &value, int &requestedJobs)
+             const std::string &value)
 {
     long n = 0;
     if (name == "quick") {
@@ -89,11 +91,16 @@ applyStdFlag(SweepRequest &req, const std::string &name,
         req.quick = true;
     } else if (name == "jobs") {
         if (value == "auto") {
-            requestedJobs = ThreadPool::hardwareThreads();
+            req.jobs = ThreadPool::hardwareThreads();
         } else if (parseNonNegInt(value, n)) {
-            requestedJobs =
-                n == 0 ? ThreadPool::hardwareThreads()
-                       : static_cast<int>(n);
+            if (n > kMaxJobs) {
+                return optError("--jobs " + value + " exceeds the "
+                                "limit of " +
+                                std::to_string(kMaxJobs) +
+                                " worker threads");
+            }
+            req.jobs = n == 0 ? ThreadPool::hardwareThreads()
+                              : static_cast<int>(n);
         } else {
             return optError("--jobs needs a non-negative integer or "
                             "'auto', got '" + value + "'");
@@ -117,7 +124,6 @@ parseSweepCli(int argc, char **argv,
               const std::vector<CliFlag> &extraFlags)
 {
     ParsedCli out;
-    int requestedJobs = 0; // 0: fall back to UNISTC_JOBS / serial.
     for (int i = 1; i < argc;) {
         const std::string arg(argv[i]);
         // --help / --version short-circuit: the rest of the line is
@@ -173,8 +179,7 @@ parseSweepCli(int argc, char **argv,
             i += 2;
         }
         if (std_flag != nullptr) {
-            if (Status s = applyStdFlag(out.request, name, value,
-                                        requestedJobs);
+            if (Status s = applyStdFlag(out.request, name, value);
                 !s.ok()) {
                 return s;
             }
@@ -182,10 +187,6 @@ parseSweepCli(int argc, char **argv,
             out.extra[name] = value;
         }
     }
-
-    // Environment fallback (UNISTC_JOBS), exactly as the legacy
-    // per-binary parsers resolved it.
-    out.request.jobs = SweepExecutor::resolveJobs(requestedJobs, 1);
     return out;
 }
 

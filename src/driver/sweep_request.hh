@@ -12,8 +12,8 @@
  * The standard family (all driver-built binaries):
  *
  *   --quick / --smoke            workload shrinking (UNISTC_BENCH_QUICK)
- *   --jobs N                     worker threads (UNISTC_JOBS; 0/auto =
- *                                all cores)
+ *   --jobs N                     worker threads (0/auto = all cores;
+ *                                at most 1024)
  *   --log-level LEVEL            debug|info|warn|error|silent (or 0-4)
  *   --help, -h                   the generated usage text
  *   --version                    git sha + on-disk schema versions
@@ -61,7 +61,7 @@ struct SweepRequest
     bool smoke = false; ///< --smoke: tiny-corpus ctest runs.
 
     // Parallel in-process sweep (docs/PARALLELISM.md).
-    int jobs = 1; ///< Resolved worker count (env + flag + hardware).
+    int jobs = 1; ///< Resolved worker count (--jobs, or 1).
 
     /**
      * Per-job trace ring capacity for the sweep executor. Not a
@@ -91,9 +91,8 @@ struct ParsedCli
 
 /**
  * Parse @p argv against the standard family plus @p extraFlags.
- * Environment fallbacks (UNISTC_JOBS, UNISTC_BENCH_QUICK) are
- * resolved here, so the returned request is
- * self-contained. Malformed or unknown options come back as a typed
+ * The worker count comes from --jobs alone (1 when absent), so the
+ * returned request is self-contained. Malformed or unknown options come back as a typed
  * error — front-ends raise() it — and --help/--version short-circuit
  * validation (helpRequested/versionRequested set, rest best-effort).
  */

@@ -4,11 +4,11 @@
  * execute / replay phases (docs/PARALLELISM.md; moved out of
  * bench/bench_common.hh). Off by default; DriverSession flips it
  * when the request asks for a parallel sweep: the body runs twice,
- * first as a silenced *plan* pass where every runKernel() call
- * submits a JobSpec to the SweepExecutor and returns a degenerate
- * sentinel, then — after a barrier — as a serial *replay* pass that
- * splices the precomputed results back in, producing byte-identical
- * output for any worker count.
+ * first as a silenced *plan* pass where every runKernel() /
+ * runKernelLineup() call submits a JobSpec to the SweepExecutor and
+ * returns degenerate sentinels, then — after a barrier — as a serial
+ * *replay* pass that splices the precomputed results back in,
+ * producing byte-identical output for any worker count.
  */
 
 #ifndef UNISTC_DRIVER_SWEEP_SESSION_HH
@@ -49,9 +49,7 @@ class SweepSession
 
     /**
      * Begin the plan pass with the request's worker count and trace
-     * capacity. Stats collection stays off — the ResultLog builds
-     * its own per-entry registries at dump time, so executor-side
-     * shards would be redundant work.
+     * capacity.
      */
     void startPlan(const SweepRequest &req);
 
@@ -61,17 +59,8 @@ class SweepSession
      */
     void startReplay();
 
-    /** Plan-pass runKernel(): record + submit, return a sentinel. */
-    RunResult plan(Kernel kernel, const StcModel &model,
-                   const Prepared &p, const EnergyModel &energy,
-                   int bCols);
-
-    /** Replay-pass runKernel(): next precomputed result, checked. */
-    RunResult replay(Kernel kernel, const StcModel &model,
-                     const Prepared &p);
-
     /**
-     * Plan-pass runKernelLineup(): submit ONE multi-model job whose
+     * Plan-pass runKernel()/runKernelLineup(): submit ONE job whose
      * lineup shares a single task stream, return sentinels.
      */
     std::vector<RunResult> planLineup(
@@ -79,9 +68,9 @@ class SweepSession
         const Prepared &p, const EnergyModel &energy, int bCols);
 
     /**
-     * Replay-pass runKernelLineup(): per-model results of the next
-     * planned multi-model job, checked against the request; the
-     * job's engine counters land in @p counters.
+     * Replay-pass runKernel()/runKernelLineup(): per-model results of
+     * the next planned job, checked against the request; the job's
+     * engine counters land in @p counters.
      */
     std::vector<RunResult> replayLineup(
         Kernel kernel, const std::vector<const StcModel *> &models,
@@ -89,8 +78,8 @@ class SweepSession
 
     /**
      * The live executor (null when Off). Valid through the replay
-     * pass — front-ends read trace()/pipelineCounters() from it
-     * while reporting; reset() destroys it.
+     * pass — front-ends read trace() from it while reporting;
+     * reset() destroys it.
      */
     const SweepExecutor *executor() const { return exec_.get(); }
 

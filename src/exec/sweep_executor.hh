@@ -1,15 +1,15 @@
 /**
  * @file
  * Parallel sweep executor: fans independent JobSpecs out across a
- * ThreadPool and merges per-job observability state back in
- * deterministic submission order at the wait() barrier.
+ * ThreadPool and merges per-job trace buffers back in deterministic
+ * submission order at the wait() barrier.
  *
  * Determinism guarantee: every job is a pure function of its spec
- * (own model clone, shared immutable operands, per-job RNG seed), and
- * all merging — results, StatRegistry shards, TraceSink buffers —
+ * (own model clones, shared immutable operands), and all merging
  * happens at the barrier in submission order. A sweep executed with
- * 1 worker and with N workers therefore produces byte-identical
- * stats JSON and trace output; only wall-clock time differs.
+ * 1 worker and with N workers therefore produces bit-identical
+ * results, engine counters and trace output; only wall-clock time
+ * differs.
  *
  * Failure: a job that throws fails the sweep. wait() rethrows the
  * first failure in submission order — the very exception a serial
@@ -25,13 +25,11 @@
 #include <deque>
 #include <exception>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "engine/kernel_pipeline.hh"
 #include "exec/job_spec.hh"
 #include "exec/thread_pool.hh"
-#include "obs/stat_registry.hh"
 #include "obs/trace.hh"
 
 namespace unistc
@@ -47,24 +45,13 @@ class SweepExecutor
         int jobs = 1;
 
         /**
-         * Register every job's RunResult into a per-job StatRegistry
-         * shard, merged into stats() at the barrier under
-         * "<statsPrefix><index>.<matrix>.<model>.<kernel>." keys.
-         */
-        bool collectStats = true;
-
-        /**
          * Per-job TraceSink ring capacity; 0 disables tracing. The
          * merged trace() concatenates per-job buffers in submission
          * order.
          */
         std::size_t tracePerJob = 0;
-
-        /** Key prefix for merged statistics. */
-        std::string statsPrefix = "sweep.";
     };
 
-    SweepExecutor();
     explicit SweepExecutor(const Options &opt);
 
     /** Waits for outstanding jobs (results are discarded). */
@@ -75,19 +62,16 @@ class SweepExecutor
 
     /**
      * Enqueue a job; execution may begin immediately on a worker
-     * (or runs inline when jobs <= 1). When @p spec.seed is zero a
-     * per-job seed is derived from the submission index, so the
-     * seed — and any synthesized operand — is identical no matter
-     * how many workers execute the sweep. Returns the job index.
+     * (or runs inline when jobs <= 1). Returns the job index.
      * submit() after wait() is a lifecycle bug (panic).
      */
     std::size_t submit(JobSpec spec);
 
     /**
      * Barrier: block until every submitted job has run, then merge
-     * stats shards and trace buffers in submission order. When a job
-     * threw, rethrows the first such exception in submission order
-     * instead of merging. Idempotent once it has returned.
+     * trace buffers in submission order. When a job threw, rethrows
+     * the first such exception in submission order instead of
+     * merging. Idempotent once it has returned.
      */
     void wait();
 
@@ -96,55 +80,27 @@ class SweepExecutor
     /** Worker threads in use (0 = inline). */
     int workerCount() const { return pool_.threadCount(); }
 
-    /** Spec of job @p i as submitted (seed filled in). */
+    /** Spec of job @p i as submitted. */
     const JobSpec &spec(std::size_t i) const;
 
     /**
-     * Result of job @p i (the first model's result for multi-model
-     * jobs); requires wait() first.
-     */
-    const RunResult &result(std::size_t i) const;
-
-    /** Models fanned out by job @p i (1 for single-model jobs). */
-    std::size_t fanout(std::size_t i) const;
-
-    /**
-     * Result of model @p m of (multi-model) job @p i, in lineup
-     * order; requires wait() first. resultOf(i, 0) == result(i).
+     * Result of model @p m of job @p i, in lineup order; requires
+     * wait() first.
      */
     const RunResult &resultOf(std::size_t i, std::size_t m) const;
 
     /**
-     * Engine counters of (multi-model) job @p i — all zero for
-     * single-model jobs; requires wait() first.
+     * Engine counters of job @p i's pipeline pass; requires wait()
+     * first.
      */
     const PipelineCounters &countersOf(std::size_t i) const;
 
     /**
-     * Engine counters aggregated over every multi-model job of the
-     * sweep (tasks summed; fan-out and peak-live maxima; wall times
-     * summed); requires wait(). All zero when no job carried a
-     * lineup. The counter (not timing) fields are also registered in
-     * stats() under "engine." whenever a multi-model job ran.
-     */
-    const PipelineCounters &pipelineCounters() const;
-
-    /** Merged statistics (submission order); requires wait(). */
-    const StatRegistry &stats() const;
-
-    /**
      * Merged trace, null when Options::tracePerJob is 0; requires
-     * wait(). Each job appears as its own trace process named
-     * "<model> | <matrix>".
+     * wait(). Each lineup model of each job appears as its own trace
+     * process named "<model> | <matrix>".
      */
     const TraceSink *trace() const;
-
-    /**
-     * Resolve a worker count: @p requested > 0 wins; otherwise
-     * UNISTC_JOBS (positive integer, or 0/"auto" for all hardware
-     * threads); otherwise @p fallback.
-     */
-    static int resolveJobs(int requested, int fallback = 1);
 
   private:
     struct Slot
@@ -157,11 +113,8 @@ class SweepExecutor
         /** One trace sink per lineup model; empty when not tracing. */
         std::vector<std::unique_ptr<TraceSink>> sinks;
 
-        /** Engine counters of a multi-model run (else all zero). */
+        /** Engine counters of the job's pipeline pass. */
         PipelineCounters counters;
-
-        /** First trace pid of this job (one pid per lineup model). */
-        int pidBase = 0;
 
         /** What the job threw; null when it ran cleanly. */
         std::exception_ptr error;
@@ -174,9 +127,7 @@ class SweepExecutor
     ThreadPool pool_;
     /** Deque: stable element addresses while workers run. */
     std::deque<Slot> slots_;
-    StatRegistry stats_;
     std::unique_ptr<TraceSink> mergedTrace_;
-    PipelineCounters engineCounters_;
     bool merged_ = false;
     int nextPid_ = 0;
 };

@@ -23,6 +23,7 @@
 #include "driver/sweep_request.hh"
 #include "driver/version.hh"
 #include "poison_model.hh"
+#include "runner/spmv_runner.hh"
 #include "stc/registry.hh"
 
 namespace unistc
@@ -153,6 +154,13 @@ TEST(SweepRequestParse, RejectsMissingValueAndBadNumbers)
     parseError({"--jobs", "three"});
     parseError({"--jobs", "-2"});
     parseError({"--log-level", "loud"});
+    // The worker count is bounded before any thread exists.
+    for (const char *n : {"1025", "99999999999"}) {
+        const Status s = parseError({"--jobs", n});
+        EXPECT_NE(s.message().find("limit of 1024"), std::string::npos)
+            << s.message();
+    }
+    EXPECT_EQ(parseOk({"--jobs", "1024"}).request.jobs, 1024);
 }
 
 TEST(SweepRequestParse, ExtraFlagsLandInExtraMap)
@@ -243,8 +251,7 @@ TEST(DriverKernelRun, SerialRunMatchesInlineExecution)
     const driver::Prepared prep("t", genBanded(192, 8, 0.5, 3));
     const MachineConfig cfg = MachineConfig::fp64();
     const auto model = makeStcModel("Uni-STC", cfg);
-    const RunResult inline_r = driver::executeKernel(
-        Kernel::SpMV, *model, prep, EnergyModel());
+    const RunResult inline_r = runSpmv(*model, prep.bbc, EnergyModel());
     ScopedContext ctx;
     const RunResult driven =
         driver::runKernel(Kernel::SpMV, *model, prep, EnergyModel());
@@ -358,6 +365,37 @@ TEST(DriverSessionTest, LineupThroughJobsMatchesPerModelRuns)
         SCOPED_TRACE(i);
         expectSameResult(serial[i], driven[i]);
     }
+
+    // A one-model lineup keeps its engine counters at any --jobs.
+    const std::vector<const StcModel *> uni = {models.back()};
+    const auto oneModelCounters = [&uni](int jobs) {
+        driver::ExecutionContext one_ctx;
+        driver::SweepRequest one_req;
+        one_req.jobs = jobs;
+        PipelineCounters counters;
+        driver::DriverSession one_session(one_ctx);
+        Argv one_argv({});
+        EXPECT_EQ(one_session.run(
+                      one_req, one_argv.argc(), one_argv.argv(),
+                      [&](int, char **) {
+                          const driver::Prepared prep(
+                              "t", genBanded(192, 8, 0.5, 3));
+                          driver::runKernelLineup(
+                              Kernel::SpMV, uni, prep, EnergyModel(),
+                              false, &counters);
+                          return 0;
+                      }),
+                  0);
+        return counters;
+    };
+    const PipelineCounters one_serial = oneModelCounters(1);
+    const PipelineCounters one_jobs = oneModelCounters(2);
+    EXPECT_GT(one_serial.tasksGenerated, 0u);
+    EXPECT_EQ(one_serial.modelsFanout, 1u);
+    EXPECT_EQ(one_serial.peakLiveTasks, 1u);
+    EXPECT_EQ(one_jobs.tasksGenerated, one_serial.tasksGenerated);
+    EXPECT_EQ(one_jobs.modelsFanout, one_serial.modelsFanout);
+    EXPECT_EQ(one_jobs.peakLiveTasks, one_serial.peakLiveTasks);
 }
 
 TEST(DriverSessionTest, ContextServesBackToBackSweeps)
@@ -376,7 +414,7 @@ TEST(DriverSessionTest, ContextServesBackToBackSweeps)
                               return 0;
                           }),
               0);
-    EXPECT_EQ(ctx.sweepExecutor(), nullptr);
+    EXPECT_EQ(ctx.sweep().executor(), nullptr);
 
     // Sweep 2, same context, serial: beginRun() must have cleared
     // sweep 1's plan/replay state, so every job simulates inline
@@ -422,7 +460,7 @@ TEST(DriverSessionTest, ReportingPassFlagGuardsPlanPass)
     EXPECT_TRUE(seen[1]);
     EXPECT_EQ(report, "pass 2\n");
     // The context is reusable state after the run: no live executor.
-    EXPECT_EQ(ctx.sweepExecutor(), nullptr);
+    EXPECT_EQ(ctx.sweep().executor(), nullptr);
     EXPECT_TRUE(ctx.reportingPass());
 }
 

@@ -255,57 +255,71 @@ TEST(TaskStream, RunStreamDefaultMatchesBlockLoop)
     EXPECT_EQ(streamed.traffic.writesC, looped.traffic.writesC);
 }
 
+namespace
+{
+
+/** A @p kernel job over @p a running @p names as one lineup. */
+JobSpec
+lineupJob(Kernel kernel, const std::string &matrix,
+          const std::shared_ptr<const BbcMatrix> &a,
+          const std::vector<std::string> &names)
+{
+    JobSpec job;
+    job.kernel = kernel;
+    job.matrix = matrix;
+    job.a = a;
+    for (const auto &name : names)
+        job.models.push_back(makeStcModel(name, MachineConfig::fp64()));
+    return job;
+}
+
+} // namespace
+
 // A JobSpec lineup (one job, N models) returns exactly what N
-// independent single-model jobs return.
+// independent one-model jobs return.
 TEST(JobSpecLineup, RunMultiMatchesSingleRuns)
 {
-    const MachineConfig cfg = MachineConfig::fp64();
     const NamedInput &in = smokeCorpus().front();
     const auto shared_a = std::make_shared<const BbcMatrix>(in.a);
     const std::vector<std::string> names = {"DS-STC", "RM-STC",
                                             "Uni-STC"};
 
-    JobSpec multi;
-    multi.kernel = Kernel::SpMM;
-    multi.matrix = "banded";
-    multi.a = shared_a;
-    for (const auto &name : names) {
-        multi.lineup.push_back(
-            {name, cfg,
-             std::shared_ptr<const StcModel>(makeStcModel(name, cfg))});
-    }
-    ASSERT_EQ(multi.fanout(), names.size());
+    const JobSpec multi =
+        lineupJob(Kernel::SpMM, "banded", shared_a, names);
+    ASSERT_EQ(multi.models.size(), names.size());
 
     PipelineCounters counters;
-    const std::vector<RunResult> rs = multi.runMulti({}, &counters);
+    const std::vector<RunResult> rs = multi.run({}, &counters);
     ASSERT_EQ(rs.size(), names.size());
     EXPECT_EQ(counters.modelsFanout, names.size());
     EXPECT_GT(counters.tasksGenerated, 0u);
 
     for (std::size_t m = 0; m < names.size(); ++m) {
         SCOPED_TRACE(names[m]);
-        JobSpec single;
-        single.kernel = Kernel::SpMM;
-        single.matrix = "banded";
-        single.model = names[m];
-        single.config = cfg;
-        single.impl = std::shared_ptr<const StcModel>(
-            makeStcModel(names[m], cfg));
-        single.a = shared_a;
-        expectSameResult(rs[m], single.run());
+        const JobSpec single =
+            lineupJob(Kernel::SpMM, "banded", shared_a, {names[m]});
+        expectSameResult(rs[m], single.run().front());
     }
 }
 
-// The sweep executor carries multi-model jobs: per-slot results equal
-// the same models run as separate single jobs, for any worker count,
-// and the engine counters land in the merged stats.
+// The sweep executor carries lineup jobs: per-slot results equal the
+// same models run as separate one-model jobs, for any worker count,
+// and every job — one-model ones too — keeps its engine counters.
 TEST(SweepExecutorLineup, MultiModelJobMatchesSingleJobs)
 {
-    const MachineConfig cfg = MachineConfig::fp64();
     const NamedInput &in = smokeCorpus()[2];
     const auto shared_a = std::make_shared<const BbcMatrix>(in.a);
     const std::vector<std::string> names = {"NV-DTC", "DS-STC",
                                             "Uni-STC"};
+
+    // The engine counters of the same plan run inline through one
+    // model.
+    const auto uni = makeStcModel("Uni-STC", MachineConfig::fp64());
+    PipelineCounters inline_counters;
+    KernelPipeline::run(*planFor(Kernel::SpGEMM, in),
+                        {{uni.get(), nullptr}}, EnergyModel(),
+                        &inline_counters);
+    ASSERT_GT(inline_counters.tasksGenerated, 0u);
 
     for (const int workers : {1, 3}) {
         SCOPED_TRACE("workers=" + std::to_string(workers));
@@ -313,46 +327,30 @@ TEST(SweepExecutorLineup, MultiModelJobMatchesSingleJobs)
         opt.jobs = workers;
         SweepExecutor exec(opt);
 
-        JobSpec multi;
-        multi.kernel = Kernel::SpGEMM;
-        multi.matrix = "powerlaw";
-        multi.a = shared_a;
-        multi.b = shared_a;
-        for (const auto &name : names) {
-            multi.lineup.push_back(
-                {name, cfg,
-                 std::shared_ptr<const StcModel>(
-                     makeStcModel(name, cfg))});
-        }
-        const std::size_t mj = exec.submit(std::move(multi));
-
+        const std::size_t mj = exec.submit(
+            lineupJob(Kernel::SpGEMM, "powerlaw", shared_a, names));
         std::vector<std::size_t> singles;
         for (const auto &name : names) {
-            JobSpec s;
-            s.kernel = Kernel::SpGEMM;
-            s.matrix = "powerlaw";
-            s.model = name;
-            s.config = cfg;
-            s.impl = std::shared_ptr<const StcModel>(
-                makeStcModel(name, cfg));
-            s.a = shared_a;
-            s.b = shared_a;
-            singles.push_back(exec.submit(std::move(s)));
+            singles.push_back(exec.submit(lineupJob(
+                Kernel::SpGEMM, "powerlaw", shared_a, {name})));
         }
         exec.wait();
 
-        ASSERT_EQ(exec.fanout(mj), names.size());
+        ASSERT_EQ(exec.spec(mj).models.size(), names.size());
         for (std::size_t m = 0; m < names.size(); ++m) {
             SCOPED_TRACE(names[m]);
             expectSameResult(exec.resultOf(mj, m),
-                             exec.result(singles[m]));
+                             exec.resultOf(singles[m], 0));
         }
 
         const PipelineCounters &pc = exec.countersOf(mj);
         EXPECT_EQ(pc.modelsFanout, names.size());
-        EXPECT_EQ(pc.tasksGenerated,
-                  exec.pipelineCounters().tasksGenerated);
-        EXPECT_TRUE(exec.stats().has("engine.tasks_generated"));
+        EXPECT_EQ(pc.tasksGenerated, inline_counters.tasksGenerated);
+
+        const PipelineCounters &one = exec.countersOf(singles.back());
+        EXPECT_EQ(one.tasksGenerated, inline_counters.tasksGenerated);
+        EXPECT_EQ(one.modelsFanout, inline_counters.modelsFanout);
+        EXPECT_EQ(one.peakLiveTasks, inline_counters.peakLiveTasks);
     }
 }
 

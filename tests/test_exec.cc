@@ -2,8 +2,8 @@
  * @file
  * Parallel sweep engine tests: the ThreadPool contract, JobSpec
  * purity, and the executor's headline guarantee — a sweep run with 1
- * worker and with N workers produces byte-identical merged stats and
- * trace output. The concurrency hammer tests at the bottom exist for
+ * worker and with N workers produces bit-identical results, engine
+ * counters and merged trace output. The concurrency hammer tests at the bottom exist for
  * the tsan preset; they pass trivially single-threaded but catch
  * races under -fsanitize=thread.
  */
@@ -11,17 +11,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
+#include <memory>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "bbc/bbc_matrix.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "corpus/generators.hh"
 #include "exec/job_spec.hh"
 #include "exec/sweep_executor.hh"
 #include "exec/thread_pool.hh"
-#include "obs/metrics_export.hh"
 #include "obs/stat_registry.hh"
 #include "obs/trace.hh"
 #include "stc/registry.hh"
@@ -61,30 +63,75 @@ sharedBbc(const CsrMatrix &a)
     return std::make_shared<const BbcMatrix>(BbcMatrix::fromCsr(a));
 }
 
-/** A small mixed-kernel sweep exercising every merge path. */
+/** The paper's 50 %-sparse SpMSpV vector over @p cols columns. */
+std::shared_ptr<const SparseVector>
+sharedX(int cols, std::uint64_t seed)
+{
+    Rng rng(seed);
+    auto x = std::make_shared<SparseVector>(cols);
+    for (int i = 0; i < cols; ++i) {
+        if (rng.nextBool(0.5))
+            x->push(i, rng.nextDouble(0.1, 1.0));
+    }
+    return x;
+}
+
+std::shared_ptr<const StcModel>
+sharedModel(const std::string &name)
+{
+    return makeStcModel(name, MachineConfig::fp64());
+}
+
+/** A one-model job: the lineup of one every runKernel() submits. */
+JobSpec
+oneModelJob(Kernel kernel, const std::string &model,
+            const std::string &matrix,
+            std::shared_ptr<const BbcMatrix> a)
+{
+    JobSpec spec;
+    spec.kernel = kernel;
+    spec.matrix = matrix;
+    spec.models.push_back(sharedModel(model));
+    spec.a = std::move(a);
+    return spec;
+}
+
+/**
+ * A small mixed-kernel sweep exercising every merge path: one-model
+ * jobs for each (model, matrix, kernel) plus a 3-model lineup job per
+ * (matrix, kernel), whose models each get their own trace process.
+ */
 std::vector<JobSpec>
 sampleSweep()
 {
     const auto banded = sharedBbc(genBanded(192, 8, 0.5, 11));
     const auto random = sharedBbc(genRandomUniform(160, 160, 0.04, 12));
-    const MachineConfig cfg = MachineConfig::fp64();
+    const std::vector<std::string> names = {"Uni-STC", "DS-STC",
+                                            "RM-STC"};
+    const Kernel kernels[] = {Kernel::SpMV, Kernel::SpMSpV,
+                              Kernel::SpMM, Kernel::SpGEMM};
 
     std::vector<JobSpec> specs;
-    for (const auto &model : {"Uni-STC", "DS-STC", "RM-STC"}) {
+    const auto add = [&specs](JobSpec spec) {
+        spec.x = sharedX(spec.a->cols(), specs.size() + 1);
+        specs.push_back(std::move(spec));
+    };
+    for (const auto &model : names) {
         for (const auto &a : {banded, random}) {
-            for (const Kernel k :
-                 {Kernel::SpMV, Kernel::SpMSpV, Kernel::SpMM,
-                  Kernel::SpGEMM}) {
-                JobSpec spec;
-                spec.kernel = k;
-                spec.model = model;
-                spec.config = cfg;
-                spec.matrix = (a == banded) ? "banded" : "random";
-                spec.a = a;
-                // x stays null: SpMSpV synthesizes it from the
-                // per-job seed, exercising that path too.
-                specs.push_back(std::move(spec));
-            }
+            for (const Kernel k : kernels)
+                add(oneModelJob(k, model,
+                                a == banded ? "banded" : "random", a));
+        }
+    }
+    for (const auto &a : {banded, random}) {
+        for (const Kernel k : kernels) {
+            JobSpec spec;
+            spec.kernel = k;
+            spec.matrix = a == banded ? "banded" : "random";
+            spec.a = a;
+            for (const auto &model : names)
+                spec.models.push_back(sharedModel(model));
+            add(std::move(spec));
         }
     }
     return specs;
@@ -136,72 +183,27 @@ TEST(ThreadPool, HardwareThreadsIsPositive)
 
 TEST(JobSpec, RunIsAPureFunctionOfTheSpec)
 {
-    JobSpec spec;
-    spec.kernel = Kernel::SpGEMM;
-    spec.model = "Uni-STC";
-    spec.matrix = "banded";
-    spec.a = sharedBbc(genBanded(128, 6, 0.6, 3));
-    spec.seed = 42;
-    const RunResult first = spec.run();
-    const RunResult second = spec.run();
-    EXPECT_GT(first.cycles, 0u);
-    expectSameResult(first, second);
+    const JobSpec spec =
+        oneModelJob(Kernel::SpGEMM, "Uni-STC", "banded",
+                    sharedBbc(genBanded(128, 6, 0.6, 3)));
+    const std::vector<RunResult> first = spec.run();
+    const std::vector<RunResult> second = spec.run();
+    ASSERT_EQ(first.size(), 1u);
+    ASSERT_EQ(second.size(), 1u);
+    EXPECT_GT(first[0].cycles, 0u);
+    expectSameResult(first[0], second[0]);
 }
 
-TEST(JobSpec, SpmspvVectorComesFromTheJobSeed)
-{
-    JobSpec spec;
-    spec.kernel = Kernel::SpMSpV;
-    spec.model = "Uni-STC";
-    spec.matrix = "banded";
-    spec.a = sharedBbc(genBanded(256, 8, 0.5, 4));
-    spec.seed = 7;
-    const RunResult r7 = spec.run();
-    expectSameResult(r7, spec.run());
-
-    spec.seed = 8;
-    const RunResult r8 = spec.run();
-    // A different seed gives a different synthesized x, so the
-    // effective work changes.
-    EXPECT_NE(r7.products, r8.products);
-}
-
+// A clone() simulates exactly like a freshly constructed model.
 TEST(JobSpec, ClonedModelMatchesRegistryModel)
 {
-    const MachineConfig cfg = MachineConfig::fp64();
-    JobSpec spec;
-    spec.kernel = Kernel::SpMV;
-    spec.model = "Uni-STC";
-    spec.config = cfg;
-    spec.matrix = "banded";
-    spec.a = sharedBbc(genBanded(128, 6, 0.6, 5));
-    spec.seed = 1;
-    const RunResult viaRegistry = spec.run();
+    JobSpec spec = oneModelJob(Kernel::SpMV, "Uni-STC", "banded",
+                               sharedBbc(genBanded(128, 6, 0.6, 5)));
+    const RunResult fresh = spec.run().front();
 
-    const auto model = makeStcModel("Uni-STC", cfg);
-    spec.impl = std::shared_ptr<const StcModel>(model->clone());
-    expectSameResult(viaRegistry, spec.run());
-}
-
-TEST(SweepExecutor, AssignsDistinctPerJobSeeds)
-{
-    SweepExecutor::Options opt;
-    opt.jobs = 1;
-    opt.collectStats = false;
-    SweepExecutor exec(opt);
-    const auto a = sharedBbc(genBanded(96, 4, 0.7, 6));
-    for (int i = 0; i < 3; ++i) {
-        JobSpec spec;
-        spec.kernel = Kernel::SpMSpV;
-        spec.model = "Uni-STC";
-        spec.matrix = "banded";
-        spec.a = a;
-        exec.submit(std::move(spec));
-    }
-    exec.wait();
-    EXPECT_NE(exec.spec(0).seed, exec.spec(1).seed);
-    EXPECT_NE(exec.spec(1).seed, exec.spec(2).seed);
-    EXPECT_NE(exec.spec(0).seed, 0u);
+    const auto model = makeStcModel("Uni-STC", MachineConfig::fp64());
+    spec.models = {std::shared_ptr<const StcModel>(model->clone())};
+    expectSameResult(fresh, spec.run().front());
 }
 
 TEST(SweepExecutor, WorkerCountDoesNotChangeAnyOutput)
@@ -228,58 +230,26 @@ TEST(SweepExecutor, WorkerCountDoesNotChangeAnyOutput)
     EXPECT_EQ(parallel->workerCount(), 8);
 
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        EXPECT_EQ(serial->spec(i).seed, parallel->spec(i).seed);
-        expectSameResult(serial->result(i), parallel->result(i));
-        EXPECT_GT(serial->result(i).cycles, 0u);
+        SCOPED_TRACE(specs[i].label());
+        for (std::size_t m = 0; m < specs[i].models.size(); ++m) {
+            expectSameResult(serial->resultOf(i, m),
+                             parallel->resultOf(i, m));
+            EXPECT_GT(serial->resultOf(i, m).cycles, 0u);
+        }
+        const PipelineCounters &sc = serial->countersOf(i);
+        const PipelineCounters &pc = parallel->countersOf(i);
+        EXPECT_EQ(sc.tasksGenerated, pc.tasksGenerated);
+        EXPECT_EQ(sc.modelsFanout, pc.modelsFanout);
+        EXPECT_EQ(sc.peakLiveTasks, pc.peakLiveTasks);
     }
 
-    // The headline guarantee: the merged artifacts are byte-equal.
-    EXPECT_EQ(statsJson(serial->stats()), statsJson(parallel->stats()));
-
+    // The headline guarantee: the merged trace is byte-equal.
     ASSERT_NE(serial->trace(), nullptr);
     ASSERT_NE(parallel->trace(), nullptr);
     std::ostringstream t1, tn;
     serial->trace()->writeChromeTrace(t1);
     parallel->trace()->writeChromeTrace(tn);
     EXPECT_EQ(t1.str(), tn.str());
-}
-
-TEST(SweepExecutor, StatsCarrySweepKeys)
-{
-    SweepExecutor::Options opt;
-    opt.jobs = 2;
-    SweepExecutor exec(opt);
-    JobSpec spec;
-    spec.kernel = Kernel::SpMV;
-    spec.model = "Uni-STC";
-    spec.matrix = "banded";
-    spec.a = sharedBbc(genBanded(96, 4, 0.7, 9));
-    exec.submit(std::move(spec));
-    exec.wait();
-    EXPECT_EQ(exec.stats().counter("sweep.jobCount"), 1u);
-    EXPECT_TRUE(exec.stats().has(
-        "sweep.0.banded.Uni-STC.SpMV.cycles"));
-    EXPECT_GT(exec.stats().counter("sweep.totalCycles"), 0u);
-}
-
-TEST(SweepExecutor, ResolveJobsReadsTheEnvironment)
-{
-    ::unsetenv("UNISTC_JOBS");
-    EXPECT_EQ(SweepExecutor::resolveJobs(5), 5);
-    EXPECT_EQ(SweepExecutor::resolveJobs(0), 1);
-    EXPECT_EQ(SweepExecutor::resolveJobs(0, 3), 3);
-
-    ::setenv("UNISTC_JOBS", "7", 1);
-    EXPECT_EQ(SweepExecutor::resolveJobs(0), 7);
-    EXPECT_EQ(SweepExecutor::resolveJobs(2), 2); // explicit wins
-
-    ::setenv("UNISTC_JOBS", "auto", 1);
-    EXPECT_EQ(SweepExecutor::resolveJobs(0),
-              ThreadPool::hardwareThreads());
-
-    ::setenv("UNISTC_JOBS", "bogus", 1);
-    EXPECT_EQ(SweepExecutor::resolveJobs(0, 4), 4);
-    ::unsetenv("UNISTC_JOBS");
 }
 
 // --- Concurrency hammers (interesting under -fsanitize=thread) ----

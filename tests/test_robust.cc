@@ -31,6 +31,7 @@
 #include "sparse/coo.hh"
 #include "sparse/csr.hh"
 #include "sparse/io.hh"
+#include "stc/registry.hh"
 
 using namespace unistc;
 
@@ -61,16 +62,16 @@ parseMtx(const std::string &text)
     return tryReadMatrixMarket(is, "<test>");
 }
 
-/** One job spec over a tiny matrix (deterministic). */
+/** One Uni-STC SpMV job over a tiny matrix (deterministic). */
 JobSpec
 tinyJob(const std::shared_ptr<const BbcMatrix> &a,
         const std::string &matrix)
 {
     JobSpec spec;
     spec.kernel = Kernel::SpMV;
-    spec.model = "Uni-STC";
-    spec.config = MachineConfig::fp64();
     spec.matrix = matrix;
+    spec.models.push_back(
+        makeStcModel("Uni-STC", MachineConfig::fp64()));
     spec.a = a;
     return spec;
 }
@@ -502,9 +503,8 @@ poisonedJob(const std::shared_ptr<const BbcMatrix> &dense,
             const std::string &name)
 {
     JobSpec spec = tinyJob(dense, "dense");
-    spec.model = name;
-    spec.impl =
-        std::make_shared<PoisonModel>(name, MachineConfig::fp64());
+    spec.models = {
+        std::make_shared<PoisonModel>(name, MachineConfig::fp64())};
     return spec;
 }
 
